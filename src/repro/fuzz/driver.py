@@ -14,8 +14,9 @@ pipeline behind ``repro fuzz``:
    configuration, honouring the Section 5.4 sample-space bound;
 3. **campaign** — run the winning configuration through
    :func:`repro.harness.parallel.run_campaign_parallel` with
-   record-on-failure artifacts (warm-worker reuse applies: fuzz specs
-   are registry specs);
+   record-on-failure artifacts, on one worker pool shared by every
+   program of the run (warm-worker reuse applies: fuzz specs are
+   registry specs);
 4. **shrink → corpus** — dedupe findings by (outcome, bug kind), ddmin
    the decision trace and the plan itself
    (:mod:`repro.fuzz.shrink`), and pin each survivor as a corpus entry.
@@ -49,7 +50,7 @@ from ..harness.coverage import (
     execution_signature,
     weak_read_count,
 )
-from ..harness.parallel import run_campaign_parallel
+from ..harness.parallel import CampaignPool, run_campaign_parallel
 from ..harness.seeding import derive_trial_seed
 from ..memory.model import MemoryModel, resolve_model
 from ..replay.minimize import minimize_trace
@@ -460,114 +461,117 @@ def run_fuzz(base_seed: int = 0, count: int = 20, model: str = "c11",
     report = FuzzReport(model=backend.name, scheduler=scheduler,
                         base_seed=base_seed, count=count, trials=trials)
 
-    for index in range(count):
-        if deadline is not None and time.monotonic() > deadline:
-            report.truncated = count - index
-            break
-        gen_seed = derive_trial_seed(base_seed, index)
-        plan = plan_program(gen_seed, config)
-        program = build_plan_program(plan)
-        stats = plan_stats(plan)
-        bound = max_steps if max_steps is not None else plan_step_bound(plan)
+    with CampaignPool(jobs) as pool:
+        for index in range(count):
+            if deadline is not None and time.monotonic() > deadline:
+                report.truncated = count - index
+                break
+            gen_seed = derive_trial_seed(base_seed, index)
+            plan = plan_program(gen_seed, config)
+            program = build_plan_program(plan)
+            stats = plan_stats(plan)
+            bound = (max_steps if max_steps is not None
+                     else plan_step_bound(plan))
 
-        estimate = estimate_parameters(program, runs=3, seed=gen_seed,
-                                       max_steps=bound, model=backend.name)
-        k = max(1, estimate.k)
-        k_com = max(1, estimate.k_com)
+            estimate = estimate_parameters(program, runs=3, seed=gen_seed,
+                                           max_steps=bound,
+                                           model=backend.name)
+            k = max(1, estimate.k)
+            k_com = max(1, estimate.k_com)
 
-        sigs: set = set()
-        shapes: set = set()
-        weak_total = 0
-        params = _search_params(backend, program, scheduler, k, k_com,
-                                gen_seed, probe_trials, bound,
-                                spin_threshold, sigs, shapes)
-        # One extra pass at the chosen configuration for the weak-read
-        # tally reported per program (batch tallies vary per candidate).
-        _hits, _, _, weak_total = _probe_batch(
-            backend, program, scheduler, params, gen_seed,
-            _PROBE_OFFSET - probe_trials, probe_trials, bound,
-            spin_threshold, sigs, shapes)
+            sigs: set = set()
+            shapes: set = set()
+            weak_total = 0
+            params = _search_params(backend, program, scheduler, k, k_com,
+                                    gen_seed, probe_trials, bound,
+                                    spin_threshold, sigs, shapes)
+            # One extra pass at the chosen configuration for the weak-read
+            # tally reported per program (batch tallies vary per candidate).
+            _hits, _, _, weak_total = _probe_batch(
+                backend, program, scheduler, params, gen_seed,
+                _PROBE_OFFSET - probe_trials, probe_trials, bound,
+                spin_threshold, sigs, shapes)
 
-        spec = generate_spec(gen_seed, config)
-        sched_spec = SchedulerSpec(scheduler, params)
-        with tempfile.TemporaryDirectory(prefix="fuzz-artifacts-") as tmp:
-            result = run_campaign_parallel(
-                spec, sched_spec, trials=trials, base_seed=gen_seed,
-                max_steps=bound, jobs=jobs, scheduler_name=scheduler,
-                sanitize=sanitize, artifact_dir=tmp,
-                spin_threshold=spin_threshold, record_mode="on_failure",
-                model=backend.name)
-            artifacts = [load_artifact(path)
-                         for path in sorted(result.artifacts)]
+            spec = generate_spec(gen_seed, config)
+            sched_spec = SchedulerSpec(scheduler, params)
+            with tempfile.TemporaryDirectory(prefix="fuzz-artifacts-") as tmp:
+                result = run_campaign_parallel(
+                    spec, sched_spec, trials=trials, base_seed=gen_seed,
+                    max_steps=bound, jobs=jobs, scheduler_name=scheduler,
+                    sanitize=sanitize, artifact_dir=tmp,
+                    spin_threshold=spin_threshold, record_mode="on_failure",
+                    model=backend.name, pool=pool)
+                artifacts = [load_artifact(path)
+                             for path in sorted(result.artifacts)]
 
-        program_report = FuzzProgramReport(
-            index=index, gen_seed=gen_seed, name=plan["name"],
-            threads=stats["threads"], ops=stats["ops"],
-            locations=stats["locations"], k=k, k_com=k_com,
-            scheduler=scheduler, scheduler_params=dict(params),
-            max_steps=bound, trials=result.completed, hits=result.hits,
-            errors=result.errors, timeouts=result.timeouts,
-            inconsistent=result.inconsistent,
-            distinct_signatures=len(sigs), distinct_shapes=len(shapes),
-            weak_reads=weak_total)
+            program_report = FuzzProgramReport(
+                index=index, gen_seed=gen_seed, name=plan["name"],
+                threads=stats["threads"], ops=stats["ops"],
+                locations=stats["locations"], k=k, k_com=k_com,
+                scheduler=scheduler, scheduler_params=dict(params),
+                max_steps=bound, trials=result.completed, hits=result.hits,
+                errors=result.errors, timeouts=result.timeouts,
+                inconsistent=result.inconsistent,
+                distinct_signatures=len(sigs), distinct_shapes=len(shapes),
+                weak_reads=weak_total)
 
-        seen_keys = set()
-        for artifact in artifacts:
-            key = (artifact.outcome, artifact.bug_kind)
-            if key in seen_keys or artifact.outcome == "timeout":
-                continue
-            seen_keys.add(key)
-            finding: Dict[str, Any] = {
-                "outcome": artifact.outcome,
-                "bug_kind": artifact.bug_kind,
-                "bug_message": artifact.bug_message,
-                "trial_index": artifact.trial_index,
-                "corpus": None,
-            }
-            trace_len = None
-            if minimize_traces and artifact.outcome == "bug":
-                try:
-                    minimized = minimize_trace(spec, artifact.trace,
-                                               max_steps=bound,
-                                               model=backend.name)
-                    trace_len = len(minimized.decisions)
-                except (ReproError, ValueError):
-                    trace_len = None
-            shrunk = shrink_plan(
-                plan, scheduler, params, artifact.trial_seed, key,
-                backend, bound, spin_threshold=spin_threshold,
-                seed_attempts=seed_attempts)
-            if shrunk is None:
-                finding["note"] = "not reproducible within seed sweep"
+            seen_keys = set()
+            for artifact in artifacts:
+                key = (artifact.outcome, artifact.bug_kind)
+                if key in seen_keys or artifact.outcome == "timeout":
+                    continue
+                seen_keys.add(key)
+                finding: Dict[str, Any] = {
+                    "outcome": artifact.outcome,
+                    "bug_kind": artifact.bug_kind,
+                    "bug_message": artifact.bug_message,
+                    "trial_index": artifact.trial_index,
+                    "corpus": None,
+                }
+                trace_len = None
+                if minimize_traces and artifact.outcome == "bug":
+                    try:
+                        minimized = minimize_trace(spec, artifact.trace,
+                                                   max_steps=bound,
+                                                   model=backend.name)
+                        trace_len = len(minimized.decisions)
+                    except (ReproError, ValueError):
+                        trace_len = None
+                shrunk = shrink_plan(
+                    plan, scheduler, params, artifact.trial_seed, key,
+                    backend, bound, spin_threshold=spin_threshold,
+                    seed_attempts=seed_attempts)
+                if shrunk is None:
+                    finding["note"] = "not reproducible within seed sweep"
+                    program_report.findings.append(finding)
+                    continue
+                name = _finding_name(backend.name, scheduler,
+                                     artifact.outcome, artifact.bug_kind,
+                                     gen_seed)
+                entry = entry_from_finding(shrunk, name, provenance={
+                    "gen_seed": gen_seed,
+                    "base_seed": base_seed,
+                    "trial_index": artifact.trial_index,
+                    "trial_seed": artifact.trial_seed,
+                    "config": config.to_params(),
+                    "minimized_trace_len": trace_len,
+                })
+                finding.update({
+                    "corpus": name,
+                    "seed": shrunk.seed,
+                    "ops_before": shrunk.ops_before,
+                    "ops_after": shrunk.ops_after,
+                    "bug_message": shrunk.bug_message,
+                    "scheduler_params": dict(shrunk.scheduler_params),
+                    "replays": shrunk.replays,
+                    "entry": entry,
+                })
+                replay = replay_entry(entry)
+                if not replay.ok:  # pragma: no cover - defensive
+                    finding["corpus"] = None
+                    finding["note"] = f"entry failed replay: {replay.got}"
+                elif corpus_dir is not None:
+                    report.corpus_paths.append(save_entry(corpus_dir, entry))
                 program_report.findings.append(finding)
-                continue
-            name = _finding_name(backend.name, scheduler,
-                                 artifact.outcome, artifact.bug_kind,
-                                 gen_seed)
-            entry = entry_from_finding(shrunk, name, provenance={
-                "gen_seed": gen_seed,
-                "base_seed": base_seed,
-                "trial_index": artifact.trial_index,
-                "trial_seed": artifact.trial_seed,
-                "config": config.to_params(),
-                "minimized_trace_len": trace_len,
-            })
-            finding.update({
-                "corpus": name,
-                "seed": shrunk.seed,
-                "ops_before": shrunk.ops_before,
-                "ops_after": shrunk.ops_after,
-                "bug_message": shrunk.bug_message,
-                "scheduler_params": dict(shrunk.scheduler_params),
-                "replays": shrunk.replays,
-                "entry": entry,
-            })
-            replay = replay_entry(entry)
-            if not replay.ok:  # pragma: no cover - defensive
-                finding["corpus"] = None
-                finding["note"] = f"entry failed replay: {replay.got}"
-            elif corpus_dir is not None:
-                report.corpus_paths.append(save_entry(corpus_dir, entry))
-            program_report.findings.append(finding)
-        report.programs.append(program_report)
+            report.programs.append(program_report)
     return report

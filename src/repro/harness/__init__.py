@@ -33,6 +33,7 @@ from .checkpoint import (
     load_journal,
 )
 from .parallel import (
+    CampaignPool,
     CampaignProgress,
     print_progress,
     run_campaign_parallel,
@@ -78,6 +79,7 @@ from .tables import (
 
 __all__ = [
     "BugArtifact",
+    "CampaignPool",
     "CampaignProgress",
     "CampaignResult",
     "check_against_baseline",

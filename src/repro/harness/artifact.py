@@ -204,8 +204,13 @@ class BugArtifact:
         )
 
     def save(self, path: str) -> str:
-        with open(path, "w") as fh:
+        # Written aside and renamed into place: a pool worker killed
+        # mid-write (an abandoned campaign, a preempted worker) must not
+        # leave a truncated artifact behind.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
             fh.write(self.to_json())
+        os.replace(tmp, path)
         return path
 
 

@@ -121,8 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=_nonnegative_int, default=0)
         cmd.add_argument("--benchmarks", nargs="*", default=None)
         cmd.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes per campaign (1 = serial; "
-                              "results are identical for any value)")
+                         help="worker processes; one pool serves every "
+                              "campaign of the sweep (1 = serial; results "
+                              "are identical for any value)")
         add_sanitize(cmd)
         return cmd
 
@@ -351,8 +352,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "adaptive parameter search, others run "
                                "with defaults")
     fuzz_cmd.add_argument("--jobs", type=_positive_int, default=1,
-                          help="worker processes per campaign (output is "
-                               "identical for any value)")
+                          help="worker processes; one pool serves the "
+                               "campaigns of every generated program "
+                               "(output is identical for any value)")
     fuzz_cmd.add_argument("--budget", type=_positive_float, default=None,
                           metavar="SECONDS",
                           help="soft wall-clock cap, checked between "
@@ -501,7 +503,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         print("== Figure 5: highest observed hit rates ==")
         bars = figure5(trials=args.trials, seed=args.seed,
-                       benchmarks=args.benchmarks, jobs=jobs)
+                       benchmarks=args.benchmarks, jobs=jobs,
+                       sanitize=sanitize)
         print(render_figure5(bars))
         print()
         print(bar_chart(bars))
@@ -511,7 +514,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         print("== Figure 6: inserted relaxed writes ==")
         series = figure6(trials=args.trials, seed=args.seed,
-                         benchmarks=args.benchmarks, jobs=jobs)
+                         benchmarks=args.benchmarks, jobs=jobs,
+                         sanitize=sanitize)
         print(render_figure6(series))
         print()
         print(line_charts(series))

@@ -15,12 +15,13 @@ the benchmark harness can print the same comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.depth import estimate_parameters
 from ..core.factory import SchedulerSpec
 from ..workloads.registry import BENCHMARKS, BenchmarkInfo, ProgramSpec
-from .parallel import run_campaign_parallel
+from .campaign import CampaignResult
+from .parallel import CampaignPool, run_campaign_parallel
 
 
 @dataclass
@@ -31,6 +32,9 @@ class Figure5Bar:
     pctwm: float
     pct_config: str = ""
     pctwm_config: str = ""
+    errors: int = 0
+    timeouts: int = 0
+    inconsistent: int = 0
 
 
 def figure5(trials: int = 100, seed: int = 0,
@@ -38,55 +42,64 @@ def figure5(trials: int = 100, seed: int = 0,
             pct_depths: Sequence[int] = (1, 2, 3, 4),
             histories: Sequence[int] = (1, 2, 3),
             benchmarks: Optional[Sequence[str]] = None,
-            jobs: int = 1) -> List[Figure5Bar]:
+            jobs: int = 1, sanitize: str = "off") -> List[Figure5Bar]:
     """Highest observed hit rate per benchmark and algorithm."""
     bars = []
-    for info in _selected(benchmarks):
-        est = estimate_parameters(info.build(), runs=3, seed=seed)
-        program = ProgramSpec(info.name)
-        c11 = run_campaign_parallel(program, SchedulerSpec("c11tester"),
-                                    trials=trials, base_seed=seed,
-                                    jobs=jobs)
+    with CampaignPool(jobs) as pool:
+        for info in _selected(benchmarks):
+            est = estimate_parameters(info.build(), runs=3, seed=seed)
+            program = ProgramSpec(info.name)
+            campaigns: List[CampaignResult] = []
 
-        best_pct, pct_cfg = -1.0, ""
-        for d in pct_depths:
-            campaign = run_campaign_parallel(
-                program,
-                SchedulerSpec("pct", {"depth": d, "k_events": est.k}),
-                trials=trials, base_seed=seed + 17 * d, jobs=jobs)
-            if campaign.hit_rate > best_pct:
-                best_pct, pct_cfg = campaign.hit_rate, f"d={d}"
+            def campaign(scheduler: SchedulerSpec,
+                         base_seed: int) -> CampaignResult:
+                result = run_campaign_parallel(
+                    program, scheduler, trials=trials, base_seed=base_seed,
+                    jobs=jobs, sanitize=sanitize, pool=pool)
+                campaigns.append(result)
+                return result
 
-        best_wm, wm_cfg = -1.0, ""
-        for offset in pctwm_depth_offsets:
-            depth = info.measured_depth + offset
-            for h in histories:
-                campaign = run_campaign_parallel(
-                    program,
-                    SchedulerSpec("pctwm", {"depth": depth,
-                                            "k_com": est.k_com,
-                                            "history": h}),
-                    trials=trials, base_seed=seed + 31 * depth + 7 * h,
-                    jobs=jobs,
-                )
-                if campaign.hit_rate > best_wm:
-                    best_wm, wm_cfg = campaign.hit_rate, f"d={depth},h={h}"
+            c11 = campaign(SchedulerSpec("c11tester"), seed)
 
-        bars.append(Figure5Bar(info.name, c11.hit_rate, best_pct, best_wm,
-                               pct_cfg, wm_cfg))
+            best_pct, pct_cfg = -1.0, ""
+            for d in pct_depths:
+                result = campaign(
+                    SchedulerSpec("pct", {"depth": d, "k_events": est.k}),
+                    seed + 17 * d)
+                if result.hit_rate > best_pct:
+                    best_pct, pct_cfg = result.hit_rate, f"d={d}"
+
+            best_wm, wm_cfg = -1.0, ""
+            for offset in pctwm_depth_offsets:
+                depth = info.measured_depth + offset
+                for h in histories:
+                    result = campaign(
+                        SchedulerSpec("pctwm", {"depth": depth,
+                                                "k_com": est.k_com,
+                                                "history": h}),
+                        seed + 31 * depth + 7 * h)
+                    if result.hit_rate > best_wm:
+                        best_wm = result.hit_rate
+                        wm_cfg = f"d={depth},h={h}"
+
+            bars.append(Figure5Bar(
+                info.name, c11.hit_rate, best_pct, best_wm, pct_cfg,
+                wm_cfg, *_fault_counts(campaigns)))
     return bars
 
 
 def render_figure5(bars: Sequence[Figure5Bar]) -> str:
     header = (
         f"{'Benchmark':14s} {'C11Tester':>10s} {'PCT':>10s} {'PCTWM':>10s}"
-        f"   (best configs)"
+        f" {'err':>5s} {'t/o':>5s} {'inc':>5s}   (best configs)"
     )
     lines = [header, "-" * len(header)]
     for b in bars:
         lines.append(
             f"{b.benchmark:14s} {b.c11tester:9.1f}% {b.pct:9.1f}% "
-            f"{b.pctwm:9.1f}%   pct[{b.pct_config}] pctwm[{b.pctwm_config}]"
+            f"{b.pctwm:9.1f}% {b.errors:5d} {b.timeouts:5d} "
+            f"{b.inconsistent:5d}   pct[{b.pct_config}] "
+            f"pctwm[{b.pctwm_config}]"
         )
     avg = (
         sum(b.c11tester for b in bars) / len(bars),
@@ -107,50 +120,56 @@ class Figure6Series:
     c11tester: List[float] = field(default_factory=list)
     pct: List[float] = field(default_factory=list)
     pctwm: List[float] = field(default_factory=list)
+    errors: int = 0
+    timeouts: int = 0
+    inconsistent: int = 0
 
 
 def figure6(trials: int = 100, seed: int = 0,
             insert_counts: Sequence[int] = (0, 2, 4, 6, 8, 10),
             benchmarks: Optional[Sequence[str]] = None,
-            jobs: int = 1) -> Dict[str, Figure6Series]:
+            jobs: int = 1, sanitize: str = "off"
+            ) -> Dict[str, Figure6Series]:
     """Hit rate vs number of inserted relaxed writes (Figure 6)."""
     if benchmarks is None:
         benchmarks = [
             info.name for info in BENCHMARKS.values() if info.in_figure6
         ]
     out = {}
-    for name in benchmarks:
-        info = BENCHMARKS[name]
-        series = Figure6Series(name)
-        for n in insert_counts:
-            program = ProgramSpec(name, params={"inserted_writes": n})
-            est = estimate_parameters(program.build(), runs=3, seed=seed)
-            depth = info.measured_depth
-            series.inserted.append(n)
-            series.c11tester.append(
-                run_campaign_parallel(program, SchedulerSpec("c11tester"),
-                                      trials=trials, base_seed=seed + n,
-                                      jobs=jobs).hit_rate
-            )
-            series.pct.append(
-                run_campaign_parallel(
-                    program,
+    with CampaignPool(jobs) as pool:
+        for name in benchmarks:
+            info = BENCHMARKS[name]
+            series = Figure6Series(name)
+            campaigns: List[CampaignResult] = []
+            for n in insert_counts:
+                program = ProgramSpec(name, params={"inserted_writes": n})
+                est = estimate_parameters(program.build(), runs=3,
+                                          seed=seed)
+                depth = info.measured_depth
+
+                def rate(scheduler: SchedulerSpec, base_seed: int) -> float:
+                    result = run_campaign_parallel(
+                        program, scheduler, trials=trials,
+                        base_seed=base_seed, jobs=jobs, sanitize=sanitize,
+                        pool=pool)
+                    campaigns.append(result)
+                    return result.hit_rate
+
+                series.inserted.append(n)
+                series.c11tester.append(
+                    rate(SchedulerSpec("c11tester"), seed + n))
+                series.pct.append(rate(
                     SchedulerSpec("pct", {"depth": max(depth, 1) + 1,
                                           "k_events": est.k}),
-                    trials=trials, base_seed=seed + n + 1,
-                    jobs=jobs).hit_rate
-            )
-            series.pctwm.append(
-                run_campaign_parallel(
-                    program,
+                    seed + n + 1))
+                series.pctwm.append(rate(
                     SchedulerSpec("pctwm", {"depth": depth,
                                             "k_com": est.k_com,
                                             "history": info.best_history}),
-                    trials=trials, base_seed=seed + n + 2,
-                    jobs=jobs,
-                ).hit_rate
-            )
-        out[name] = series
+                    seed + n + 2))
+            (series.errors, series.timeouts,
+             series.inconsistent) = _fault_counts(campaigns)
+            out[name] = series
     return out
 
 
@@ -166,8 +185,19 @@ def render_figure6(series: Dict[str, Figure6Series]) -> str:
             lines.append(
                 f"  {label:>9s} " + " ".join(f"{v:6.1f}" for v in values)
             )
+        lines.append(f"  {'faults':>9s} errors={s.errors} "
+                     f"timeouts={s.timeouts} inconsistent={s.inconsistent}")
         lines.append("")
     return "\n".join(lines).rstrip()
+
+
+def _fault_counts(campaigns: Sequence[CampaignResult]
+                  ) -> Tuple[int, int, int]:
+    """Contained faults across ``campaigns``: errored and timed-out
+    trials, and trials the sanitizer flagged as axiom-inconsistent."""
+    return (sum(c.errors for c in campaigns),
+            sum(c.timeouts for c in campaigns),
+            sum(c.inconsistent for c in campaigns))
 
 
 def _selected(names: Optional[Sequence[str]]) -> List[BenchmarkInfo]:

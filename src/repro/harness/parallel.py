@@ -13,11 +13,14 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   ``derive_trial_seed(base_seed, i)``, so the aggregate counts are
   bit-identical to the serial path regardless of worker count, chunking,
   or how often a shard had to be retried.
-* **Workers are warm.**  The pool initializer materializes one
-  :class:`~repro.harness.campaign.TrialRunner` per worker process —
-  program, scheduler, and pooled execution state built once — and each
-  IPC round then ships only a tuple of trial indices, not a pickled
-  factory bundle.
+* **Workers are warm, and a pool outlives a campaign.**  A
+  :class:`CampaignPool` owns worker processes that serve every campaign
+  of a sweep (``figure5``, ``table2``, ``repro fuzz``, ...).  Each shard
+  task ships a campaign token with the indices-free shard config; a
+  worker builds one :class:`~repro.harness.campaign.TrialRunner` —
+  program, scheduler, and pooled execution state — on the first shard
+  of a campaign and reuses it for every later shard with that token.
+  A campaign run without a pool opens a private one for its lifetime.
 * **Merging is deterministic and streaming.**  Shard records fold into
   a :class:`~repro.harness.campaign.CampaignAccumulator` as each shard
   finishes; the fold is order-independent, so ``hits``,
@@ -56,11 +59,17 @@ and *supervises* the shards so one fault cannot destroy a campaign:
     result = run_campaign_parallel(spec, sched, trials=1000, jobs=4,
                                    checkpoint="seqlock.jsonl",
                                    progress=print_progress)
+
+    with CampaignPool(4) as pool:          # one pool for a whole sweep
+        for d in (1, 2, 3):
+            run_campaign_parallel(spec, SchedulerSpec("pct", {"depth": d}),
+                                  trials=100, jobs=4, pool=pool)
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import multiprocessing
 import os
 import signal
@@ -69,7 +78,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,6 +99,7 @@ from .checkpoint import TrialJournal
 from .watchdog import HeartbeatBoard, Watchdog, WatchdogStats
 
 __all__ = [
+    "CampaignPool",
     "CampaignProgress",
     "ShardResult",
     "ShardSpec",
@@ -199,9 +209,8 @@ def print_progress(progress: CampaignProgress) -> None:
 def _run_shard(shard: ShardSpec) -> ShardResult:
     """Cold shard entry point: build a runner, run one slice of trials.
 
-    Used for in-process (degraded) execution and by callers that hold a
-    full :class:`ShardSpec`; pooled workers use the warm
-    :func:`_init_worker` / :func:`_run_shard_warm` pair instead.
+    Used for in-process (degraded) execution; pooled workers use the
+    warm :func:`_run_shard_warm` instead.
     """
     t0 = time.perf_counter()
     runner = shard.make_runner()
@@ -209,66 +218,67 @@ def _run_shard(shard: ShardSpec) -> ShardResult:
     return ShardResult(shard.indices[0], records, time.perf_counter() - t0)
 
 
-#: Per-worker-process warm state, materialized once by :func:`_init_worker`.
+#: Per-worker-process warm state: the runner of the campaign whose
+#: token the worker saw last (see :func:`_run_shard_warm`).
+_WORKER_TOKEN: Optional[int] = None
 _WORKER_RUNNER: Optional[TrialRunner] = None
 _WORKER_TRIALS_SINCE_GC = 0
-#: The worker's claimed heartbeat slot (None when the campaign runs
-#: without a hang watchdog or memory ceiling).
+#: The worker's claimed heartbeat slot (None when the pool runs without
+#: a hang watchdog or memory ceiling).
 _WORKER_HEARTBEAT = None
 
 
-def _init_worker(config: ShardSpec, board: Optional[HeartbeatBoard] = None,
-                 ) -> None:
-    """Pool initializer: materialize the worker's warm trial runner.
+def _init_worker(board: Optional[HeartbeatBoard] = None) -> None:
+    """Pool initializer: claim a heartbeat slot and pause the collector.
 
-    Runs once per worker process, so the factories are unpickled and the
-    program/scheduler/execution-state pool built a single time; every
-    subsequent IPC round only ships trial indices.  The cyclic collector
-    is paused for the worker's lifetime (trial loops collect manually,
-    see :func:`_run_shard_warm`).
-
-    With a heartbeat ``board`` the worker claims its slot first and runs
-    initialization *busy*, so a factory that wedges while building the
-    warm runner is still preemptible; the slot goes idle on success.
+    Runs once per worker process.  The cyclic collector stays paused for
+    the worker's lifetime (trial loops collect manually, see
+    :func:`_run_shard_warm`).
     """
-    global _WORKER_RUNNER, _WORKER_TRIALS_SINCE_GC, _WORKER_HEARTBEAT
+    global _WORKER_HEARTBEAT
     # Fork-started workers inherit the supervisor's SIGTERM handler
     # (which raises KeyboardInterrupt); a pool worker must simply die
     # when the executor terminates it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    heartbeat = board.claim() if board is not None else None
-    if heartbeat is not None:
-        heartbeat.beat()
-    _WORKER_HEARTBEAT = heartbeat
+    _WORKER_HEARTBEAT = board.claim() if board is not None else None
     faultrig.load_directives()
-    _WORKER_RUNNER = config.make_runner()
-    _WORKER_TRIALS_SINCE_GC = 0
     gc.disable()
-    if heartbeat is not None:
-        heartbeat.idle()
 
 
-def _run_shard_warm(indices: Tuple[int, ...]) -> ShardResult:
-    """Warm shard entry point: run trial ``indices`` on the pool runner.
+def _run_shard_warm(token: int, config: ShardSpec,
+                    indices: Tuple[int, ...]) -> ShardResult:
+    """Warm shard entry point: run trial ``indices`` of campaign ``token``.
 
-    Each trial stamps the worker's heartbeat slot (one shared float
-    store — noise next to even the cheapest trial), and the slot is
-    marked idle on exit so a worker parked between shards is never
-    mistaken for a wedged one.
+    The first shard of a campaign on this worker builds its runner from
+    ``config``; later shards with the same token reuse it.  The build
+    runs with the heartbeat slot busy, so a factory that wedges is still
+    preemptible.  Each trial stamps the slot (one shared float store —
+    noise next to even the cheapest trial), and the slot is marked idle
+    on exit so a worker parked between shards is never mistaken for a
+    wedged one.
     """
-    global _WORKER_TRIALS_SINCE_GC
+    global _WORKER_TOKEN, _WORKER_RUNNER, _WORKER_TRIALS_SINCE_GC
     heartbeat = _WORKER_HEARTBEAT
-    t0 = time.perf_counter()
     if heartbeat is not None:
         heartbeat.beat()
-    faultrig.maybe_inject(heartbeat)
-    records = []
-    for index in indices:
+    try:
+        faultrig.maybe_inject(heartbeat)
+        if token != _WORKER_TOKEN:
+            # Free the last campaign's runner before building this one,
+            # and leave no stale runner paired with a token if it raises.
+            _WORKER_TOKEN = _WORKER_RUNNER = None
+            _WORKER_RUNNER = config.make_runner()
+            _WORKER_TOKEN = token
+        runner = _WORKER_RUNNER
+        t0 = time.perf_counter()
+        records = []
+        for index in indices:
+            if heartbeat is not None:
+                heartbeat.beat()
+            records.append(runner.run(index))
+    finally:
         if heartbeat is not None:
-            heartbeat.beat()
-        records.append(_WORKER_RUNNER.run(index))
-    if heartbeat is not None:
-        heartbeat.idle()
+            heartbeat.idle()
     _WORKER_TRIALS_SINCE_GC += len(indices)
     if _WORKER_TRIALS_SINCE_GC >= GC_COLLECT_STRIDE:
         _WORKER_TRIALS_SINCE_GC = 0
@@ -354,43 +364,153 @@ def _sigterm_as_interrupt():
         signal.signal(signal.SIGTERM, previous)
 
 
-class _ShardSupervisor:
-    """Runs shards to completion across pool failures and interrupts.
+def _check_watchdog_limits(hang_timeout_s: Optional[float],
+                           memory_limit_mb: Optional[float]) -> None:
+    if hang_timeout_s is not None and hang_timeout_s <= 0:
+        raise ValueError("hang_timeout_s must be positive")
+    if memory_limit_mb is not None and memory_limit_mb <= 0:
+        raise ValueError("memory_limit_mb must be positive")
 
-    Owns the retry bookkeeping: ``pending`` shards keyed by their first
-    trial index, a per-shard failure count, and the journal/progress
-    side effects applied exactly once per completed shard.
+
+class CampaignPool:
+    """Worker processes that outlive a single campaign.
+
+    A sweep opens one pool and hands it to every campaign it runs::
+
+        with CampaignPool(jobs) as pool:
+            for spec in specs:
+                run_campaign_parallel(program, spec, jobs=jobs, pool=pool)
+
+    The executor starts lazily, on the first campaign that needs
+    workers, so a pool nobody uses (``jobs=1``, or only tiny campaigns)
+    costs nothing.  A pool that broke (dead or preempted worker) or was
+    left mid-campaign (interrupt, error) is torn down and the next
+    campaign starts a fresh one.  Leaving the ``with`` block stops every
+    worker.
+
+    The pool also owns what lives as long as its workers: the
+    multiprocessing ``start_method``, the heartbeat board and watchdog
+    (``hang_timeout_s``, ``memory_limit_mb``, ``watchdog_stats``,
+    ``watchdog_poll_s``) and the ``on_pool_change`` observer, called
+    ``+jobs`` when workers start and ``-jobs`` when they stop.  See
+    :func:`run_campaign_parallel` for what each one does.
     """
 
-    def __init__(self, shards: Sequence[ShardSpec], jobs: int,
-                 ctx, max_retries: int, retry_backoff_s: float,
-                 journal: Optional[TrialJournal],
-                 on_progress: Callable[[ShardResult], None],
-                 accumulator: CampaignAccumulator,
-                 worker_config: ShardSpec,
+    def __init__(self, jobs: int, start_method: Optional[str] = None,
                  hang_timeout_s: Optional[float] = None,
                  memory_limit_mb: Optional[float] = None,
                  watchdog_stats: Optional[WatchdogStats] = None,
                  watchdog_poll_s: Optional[float] = None,
                  on_pool_change: Optional[Callable[[int], None]] = None):
-        self.pending: Dict[int, ShardSpec] = {
-            s.indices[0]: s for s in shards}
-        self.failures: Dict[int, int] = {key: 0 for key in self.pending}
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        _check_watchdog_limits(hang_timeout_s, memory_limit_mb)
         self.jobs = jobs
-        self.ctx = ctx
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.journal = journal
-        self.on_progress = on_progress
+        self.start_method = start_method
         self.hang_timeout_s = hang_timeout_s
         self.memory_limit_mb = memory_limit_mb
         self.watchdog_stats = watchdog_stats \
             if watchdog_stats is not None else WatchdogStats()
         self.watchdog_poll_s = watchdog_poll_s
-        #: Observer of live pool-worker deltas: called with ``+n`` when a
-        #: pool of ``n`` workers starts and ``-n`` when it is torn down,
-        #: so a daemon can meter campaigns against a global worker budget.
         self.on_pool_change = on_pool_change
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._watchdog: Optional[Watchdog] = None
+        self._tokens = itertools.count()
+
+    def __enter__(self) -> "CampaignPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.discard(clean=exc_type is None)
+
+    def next_token(self) -> int:
+        """A token no other campaign on this pool has used."""
+        return next(self._tokens)
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, started on first use."""
+        if self._executor is None:
+            self._start()
+        return self._executor
+
+    def _start(self) -> None:
+        ctx = _pool_context(self.start_method)
+        # One board per executor lifetime: a lingering worker of a
+        # torn-down pool must never stamp (and so mask) its
+        # replacement's slot.
+        board = None
+        if self.hang_timeout_s is not None \
+                or self.memory_limit_mb is not None:
+            board = HeartbeatBoard(ctx, slots=self.jobs)
+        executor = ProcessPoolExecutor(
+            max_workers=self.jobs, mp_context=ctx,
+            initializer=_init_worker, initargs=(board,))
+        self._executor = executor
+        if self.on_pool_change is not None:
+            self.on_pool_change(self.jobs)
+        if board is not None:
+            self._watchdog = Watchdog(
+                board,
+                # Only pids this executor owns are killable; a stale
+                # board entry whose OS pid was recycled is never signalled.
+                live_pids=lambda: list((executor._processes or {}).keys()),
+                hang_timeout_s=self.hang_timeout_s,
+                memory_limit_mb=self.memory_limit_mb,
+                stats=self.watchdog_stats,
+                poll_s=self.watchdog_poll_s,
+                warn=_warn,
+            )
+            self._watchdog.start()
+
+    def discard(self, clean: bool = False) -> None:
+        """Stop the current workers, if any; the next use starts anew.
+
+        ``clean`` means every submitted shard finished, so the workers
+        are idle and exit on request.  Otherwise the pool is broken or
+        still busy with a campaign that was abandoned: its workers are
+        killed, then reaped, so none outlives the call.
+        """
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if self._watchdog is not None:
+            self._watchdog.stop()
+            self._watchdog = None
+        if not clean:
+            for process in list((executor._processes or {}).values()):
+                try:
+                    process.kill()
+                except (OSError, ValueError):
+                    pass
+        executor.shutdown(wait=True, cancel_futures=True)
+        if self.on_pool_change is not None:
+            self.on_pool_change(-self.jobs)
+
+
+class _ShardSupervisor:
+    """Runs shards to completion across pool failures and interrupts.
+
+    Owns the retry bookkeeping: ``pending`` shards keyed by their first
+    trial index, a per-shard failure count, and the journal/progress
+    side effects applied exactly once per completed shard.  Without a
+    ``pool`` every shard runs in-process.
+    """
+
+    def __init__(self, shards: Sequence[ShardSpec],
+                 pool: Optional[CampaignPool], max_retries: int,
+                 retry_backoff_s: float,
+                 journal: Optional[TrialJournal],
+                 on_progress: Callable[[ShardResult], None],
+                 accumulator: CampaignAccumulator,
+                 worker_config: ShardSpec):
+        self.pending: Dict[int, ShardSpec] = {
+            s.indices[0]: s for s in shards}
+        self.failures: Dict[int, int] = {key: 0 for key in self.pending}
+        self.pool = pool
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self.journal = journal
+        self.on_progress = on_progress
         #: Set to end a backoff wait early (graceful drain); interrupt
         #: signals need no help — the deadline wait sleeps in short
         #: slices precisely so KeyboardInterrupt lands promptly.
@@ -399,16 +519,18 @@ class _ShardSupervisor:
         #: shard completes and never retained — the parent's memory is
         #: bounded by the accumulator, not by the campaign size.
         self.accumulator = accumulator
-        #: Indices-free shard config the pool initializer materializes
-        #: once per worker process (the warm path).
+        #: Indices-free shard config each worker builds its runner from,
+        #: once per campaign; the token tells a worker which campaign a
+        #: shard belongs to.
         self.worker_config = worker_config
+        self.token = pool.next_token() if pool is not None else None
         #: ``(first trial index, wall seconds)`` per completed shard.
         self.shard_walls: List[Tuple[int, float]] = []
         self.interrupted = False
 
     def run(self) -> None:
         try:
-            if self.jobs > 1:
+            if self.pool is not None:
                 self._run_pooled()
             self._run_in_process()
         except KeyboardInterrupt:
@@ -451,7 +573,7 @@ class _ShardSupervisor:
             self._stop.wait(min(remaining, 0.05))
 
     def _run_pooled(self) -> None:
-        """Submit shards to worker pools, rebuilding after crashes."""
+        """Submit shards to the pool, rebuilding it after crashes."""
         round_index = 0
         while True:
             runnable = self._runnable()
@@ -474,40 +596,18 @@ class _ShardSupervisor:
                     f"in-process execution"
                 )
 
-    def _supervised(self) -> bool:
-        """Whether pool rounds run under a heartbeat watchdog."""
-        return (self.hang_timeout_s is not None
-                or self.memory_limit_mb is not None)
-
     def _run_pool_round(self, runnable: Dict[int, ShardSpec]) -> List[int]:
-        """One pool lifetime; returns the shard keys that were lost."""
-        workers = min(self.jobs, len(runnable))
-        # One board per pool lifetime: a lingering worker of a torn-down
-        # pool must never stamp (and thereby mask) its replacement's slot.
-        board = (HeartbeatBoard(self.ctx, slots=workers)
-                 if self._supervised() else None)
-        executor = ProcessPoolExecutor(
-            max_workers=workers, mp_context=self.ctx,
-            initializer=_init_worker, initargs=(self.worker_config, board))
-        if self.on_pool_change is not None:
-            self.on_pool_change(workers)
-        watchdog: Optional[Watchdog] = None
-        if board is not None:
-            watchdog = Watchdog(
-                board,
-                # Only pids the *current* pool owns are killable; a stale
-                # board entry whose OS pid was recycled is never signalled.
-                live_pids=lambda: list((executor._processes or {}).keys()),
-                hang_timeout_s=self.hang_timeout_s,
-                memory_limit_mb=self.memory_limit_mb,
-                stats=self.watchdog_stats,
-                poll_s=self.watchdog_poll_s,
-                warn=_warn,
-            )
-            watchdog.start()
-        clean = False
+        """Submit ``runnable`` once; returns the shard keys that were lost.
+
+        A round that does not run to the end (broken pool, interrupt,
+        error) discards the pool's workers: they are dead or still busy
+        with this campaign's shards.
+        """
+        executor = self.pool.executor()
+        finished = False
         try:
-            futures = {executor.submit(_run_shard_warm, spec.indices): key
+            futures = {executor.submit(_run_shard_warm, self.token,
+                                       self.worker_config, spec.indices): key
                        for key, spec in runnable.items()}
             lost: List[int] = []
             for future in as_completed(futures):
@@ -531,15 +631,11 @@ class _ShardSupervisor:
                 else:
                     self._complete(key, outcome)
             else:
-                clean = True
+                finished = True
             return lost
         finally:
-            if watchdog is not None:
-                watchdog.stop()
-            # A broken or interrupted pool cannot be drained; don't wait.
-            executor.shutdown(wait=clean, cancel_futures=True)
-            if self.on_pool_change is not None:
-                self.on_pool_change(-workers)
+            if not finished:
+                self.pool.discard()
 
     def _run_in_process(self) -> None:
         """Run whatever is left in the parent process, in trial order."""
@@ -574,17 +670,27 @@ def run_campaign_parallel(
         watchdog_stats: Optional[WatchdogStats] = None,
         watchdog_poll_s: Optional[float] = None,
         on_pool_change: Optional[Callable[[int], None]] = None,
+        pool: Optional[CampaignPool] = None,
 ) -> CampaignResult:
     """Run a campaign sharded over ``jobs`` worker processes.
 
     Bit-identical to :func:`run_campaign` for the same ``base_seed``:
     aggregate counts and the per-trial ``run_times_s`` ordering do not
-    depend on ``jobs``, chunking, worker crashes, or checkpoint/resume
-    (individual timings naturally vary; wall-clock ``trial_timeout_s``
-    budgets are inherently timing-dependent).  With ``jobs <= 1`` — or
-    fewer trials than workers, where pool startup would dominate — the
-    campaign runs in-process, so callers can thread a jobs parameter
-    through unconditionally.
+    depend on ``jobs``, chunking, worker crashes, pool reuse, or
+    checkpoint/resume (individual timings naturally vary; wall-clock
+    ``trial_timeout_s`` budgets are inherently timing-dependent).  With
+    ``jobs <= 1`` — or fewer trials than workers, where pool startup
+    would dominate — the campaign runs in-process, so callers can thread
+    a jobs parameter through unconditionally.
+
+    ``pool`` — a :class:`CampaignPool` of ``jobs`` workers that serves
+    this campaign and outlives it; sweeps pass one pool to every
+    campaign they run.  Without one, a pooled campaign opens a private
+    pool and stops it before returning.  The pool-level options below
+    (``start_method``, ``hang_timeout_s``, ``memory_limit_mb``,
+    ``watchdog_stats``, ``watchdog_poll_s``, ``on_pool_change``) then
+    belong to the pool: passing any of them together with ``pool`` is a
+    ``ValueError``.
 
     Fault tolerance:
 
@@ -631,10 +737,23 @@ def run_campaign_parallel(
         raise ValueError("trials must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
-    if hang_timeout_s is not None and hang_timeout_s <= 0:
-        raise ValueError("hang_timeout_s must be positive")
-    if memory_limit_mb is not None and memory_limit_mb <= 0:
-        raise ValueError("memory_limit_mb must be positive")
+    pool_options = dict(
+        start_method=start_method, hang_timeout_s=hang_timeout_s,
+        memory_limit_mb=memory_limit_mb, watchdog_stats=watchdog_stats,
+        watchdog_poll_s=watchdog_poll_s, on_pool_change=on_pool_change)
+    if pool is not None:
+        given = [name for name, value in pool_options.items()
+                 if value is not None]
+        if given:
+            raise ValueError(
+                f"pool-level options go to CampaignPool, not together "
+                f"with pool=: {', '.join(given)}")
+        if jobs != pool.jobs:
+            raise ValueError(
+                f"jobs={jobs} does not match the pool's {pool.jobs} workers")
+        hang_timeout_s = pool.hang_timeout_s
+    else:
+        _check_watchdog_limits(hang_timeout_s, memory_limit_mb)
     if (hang_timeout_s is not None and trial_timeout_s is not None
             and hang_timeout_s <= trial_timeout_s):
         raise ValueError(
@@ -645,19 +764,17 @@ def run_campaign_parallel(
             program_factory, scheduler_factory, trials, base_seed,
             max_steps, jobs, scheduler_name, count_operations, progress,
             chunks_per_job, trial_timeout_s, checkpoint, resume,
-            max_retries, retry_backoff_s, start_method, sanitize,
-            artifact_dir, spin_threshold, record_mode, model,
-            hang_timeout_s, memory_limit_mb, watchdog_stats,
-            watchdog_poll_s, on_pool_change, term_seen)
+            max_retries, retry_backoff_s, sanitize, artifact_dir,
+            spin_threshold, record_mode, model, pool, pool_options,
+            term_seen)
 
 
 def _run_campaign_parallel(
         program_factory, scheduler_factory, trials, base_seed, max_steps,
         jobs, scheduler_name, count_operations, progress, chunks_per_job,
         trial_timeout_s, checkpoint, resume, max_retries, retry_backoff_s,
-        start_method, sanitize, artifact_dir, spin_threshold, record_mode,
-        model, hang_timeout_s, memory_limit_mb, watchdog_stats,
-        watchdog_poll_s, on_pool_change, term_seen) -> CampaignResult:
+        sanitize, artifact_dir, spin_threshold, record_mode, model, pool,
+        pool_options, term_seen) -> CampaignResult:
     """Campaign body; runs with SIGTERM mapped onto KeyboardInterrupt."""
     if (jobs <= 1 or trials < jobs) and checkpoint is None:
         result = run_campaign(
@@ -733,34 +850,38 @@ def _run_campaign_parallel(
     for record in done.values():
         accumulator.add(record)
 
-    stats = watchdog_stats if watchdog_stats is not None else WatchdogStats()
-    # The stats object may be shared across campaigns (a daemon exposes
-    # one fleet-wide instance); this campaign's own preemption counts are
-    # the deltas across its run.
-    hang_kills_before = stats.hang_kills
-    rss_kills_before = stats.rss_kills
-
-    supervisor = _ShardSupervisor(
-        shards, jobs, _pool_context(start_method), max_retries,
-        retry_backoff_s, journal, on_progress, accumulator, worker_config,
-        hang_timeout_s=hang_timeout_s, memory_limit_mb=memory_limit_mb,
-        watchdog_stats=stats, watchdog_poll_s=watchdog_poll_s,
-        on_pool_change=on_pool_change)
-    try:
-        if shards:
-            supervisor.run()
-        elif progress is not None:
-            progress(CampaignProgress(
-                trials, trials, time.perf_counter() - start_time,
-                resumed_trials=len(done)))
-    finally:
-        if journal is not None:
-            if supervisor.interrupted:
-                journal.append_event(
-                    "interrupt",
-                    signal=term_seen.get("signal", "SIGINT"),
-                    completed=accumulator.completed)
-            journal.close()
+    if jobs <= 1 or not shards:
+        pool_context = nullcontext(None)
+    elif pool is None:
+        pool_context = CampaignPool(min(jobs, len(shards)), **pool_options)
+    else:
+        pool_context = nullcontext(pool)
+    with pool_context as active:
+        # The stats object may be shared across campaigns (a sweep's
+        # pool, or one fleet-wide instance a daemon exposes); this
+        # campaign's own preemption counts are the deltas across its run.
+        stats = (active.watchdog_stats if active is not None
+                 else WatchdogStats())
+        hang_kills_before = stats.hang_kills
+        rss_kills_before = stats.rss_kills
+        supervisor = _ShardSupervisor(
+            shards, active, max_retries, retry_backoff_s, journal,
+            on_progress, accumulator, worker_config)
+        try:
+            if shards:
+                supervisor.run()
+            elif progress is not None:
+                progress(CampaignProgress(
+                    trials, trials, time.perf_counter() - start_time,
+                    resumed_trials=len(done)))
+        finally:
+            if journal is not None:
+                if supervisor.interrupted:
+                    journal.append_event(
+                        "interrupt",
+                        signal=term_seen.get("signal", "SIGINT"),
+                        completed=accumulator.completed)
+                journal.close()
 
     result.shard_times_s = [
         wall for _, wall in sorted(supervisor.shard_walls)]

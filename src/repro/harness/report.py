@@ -73,39 +73,25 @@ def generate_report(trials: int = 100, runs: int = 10, seed: int = 0,
                    + [f"{r.rates.get(h, 0.0):.1f}" for h in hs]
                    + [str(r.errors), str(r.timeouts), str(r.inconsistent)]
                    for r in rows3])]
-    faults2 = sum(r.errors + r.timeouts for r in rows2)
-    faults3 = sum(r.errors + r.timeouts for r in rows3)
-    if faults2 or faults3:
-        parts += ["",
-                  f"**Campaign health:** {faults2 + faults3} contained "
-                  "fault(s) (errored or timed-out trials) while computing "
-                  "Tables 2-3; faulted trials count toward neither hits "
-                  "nor misses' step totals."]
-    inconsistent = sum(r.inconsistent for r in rows2) \
-        + sum(r.inconsistent for r in rows3)
-    if inconsistent:
-        parts += ["",
-                  f"**Sanitizer:** {inconsistent} trial(s) produced "
-                  "axiom-inconsistent execution graphs — the runtime "
-                  "engine is suspect and every rate above should be "
-                  "treated as unreliable until it is fixed."]
 
-    bars = figure5(trials=trials, seed=seed, jobs=jobs)
+    bars = figure5(trials=trials, seed=seed, jobs=jobs, sanitize=sanitize)
     avg = (sum(b.c11tester for b in bars) / len(bars),
            sum(b.pct for b in bars) / len(bars),
            sum(b.pctwm for b in bars) / len(bars))
     parts += ["", "## Figure 5 — highest observed hit rates", "",
               _md_table(
                   ["benchmark", "C11Tester", "PCT", "PCTWM",
-                   "best configs"],
+                   "best configs", "errors", "timeouts", "inconsistent"],
                   [[b.benchmark, f"{b.c11tester:.1f}", f"{b.pct:.1f}",
                     f"{b.pctwm:.1f}",
-                    f"pct[{b.pct_config}] pctwm[{b.pctwm_config}]"]
+                    f"pct[{b.pct_config}] pctwm[{b.pctwm_config}]",
+                    str(b.errors), str(b.timeouts), str(b.inconsistent)]
                    for b in bars]
                   + [["**average**", f"**{avg[0]:.1f}**",
-                      f"**{avg[1]:.1f}**", f"**{avg[2]:.1f}**", ""]])]
+                      f"**{avg[1]:.1f}**", f"**{avg[2]:.1f}**", "", "",
+                      "", ""]])]
 
-    series = figure6(trials=trials, seed=seed, jobs=jobs)
+    series = figure6(trials=trials, seed=seed, jobs=jobs, sanitize=sanitize)
     parts += ["", "## Figure 6 — inserted relaxed writes", ""]
     for name, s in series.items():
         parts += [f"### {name}", "",
@@ -115,6 +101,22 @@ def generate_report(trials: int = 100, runs: int = 10, seed: int = 0,
                        ["PCT"] + [f"{v:.1f}" for v in s.pct],
                        ["PCTWM"] + [f"{v:.1f}" for v in s.pctwm]]),
                   ""]
+
+    # Every campaign-backed row, bar and series carries its contained
+    # faults and sanitizer verdicts.
+    tallies = [*rows2, *rows3, *bars, *series.values()]
+    faults = sum(t.errors + t.timeouts for t in tallies)
+    if faults:
+        parts += [f"**Campaign health:** {faults} contained fault(s) "
+                  "(errored or timed-out trials) while computing Tables "
+                  "2-3 and Figures 5-6; faulted trials count toward "
+                  "neither hits nor misses' step totals.", ""]
+    inconsistent = sum(t.inconsistent for t in tallies)
+    if inconsistent:
+        parts += [f"**Sanitizer:** {inconsistent} trial(s) produced "
+                  "axiom-inconsistent execution graphs — the runtime "
+                  "engine is suspect and every rate above should be "
+                  "treated as unreliable until it is fixed.", ""]
 
     rows4 = table4(runs=runs, seed=seed, scale=scale)
     parts += ["## Table 4 — application performance", "",

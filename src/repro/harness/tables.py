@@ -18,7 +18,7 @@ from ..runtime.executor import run_once
 from ..workloads.apps import APPLICATIONS, silo_operations
 from ..workloads.registry import BENCHMARKS, BenchmarkInfo, ProgramSpec
 from .campaign import CampaignResult, c11tester_factory, pctwm_factory
-from .parallel import run_campaign_parallel
+from .parallel import CampaignPool, run_campaign_parallel
 from .stats import relative_stdev_pct
 
 
@@ -95,32 +95,34 @@ def table2(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
            jobs: int = 1, sanitize: str = "off") -> List[Table2Row]:
     """PCTWM hit rates for d, d+1, d+2 at the best history depth."""
     rows = []
-    for info in _selected(benchmarks):
-        est = estimate_parameters(info.build(), runs=3, seed=seed)
-        program = ProgramSpec(info.name)
-        row = Table2Row(info.name, info.measured_depth)
-        for offset in offsets:
-            depth = info.measured_depth + offset
-            best_rate, best_h = -1.0, histories[0]
-            for h in histories:
-                campaign = run_campaign_parallel(
-                    program,
-                    SchedulerSpec("pctwm", {"depth": depth,
-                                            "k_com": est.k_com,
-                                            "history": h}),
-                    trials=trials,
-                    base_seed=seed + 1000 * offset + 100 * h,
-                    jobs=jobs,
-                    sanitize=sanitize,
-                )
-                row.errors += campaign.errors
-                row.timeouts += campaign.timeouts
-                row.inconsistent += campaign.inconsistent
-                if campaign.hit_rate > best_rate:
-                    best_rate, best_h = campaign.hit_rate, h
-            row.rates[offset] = best_rate
-            row.histories[offset] = best_h
-        rows.append(row)
+    with CampaignPool(jobs) as pool:
+        for info in _selected(benchmarks):
+            est = estimate_parameters(info.build(), runs=3, seed=seed)
+            program = ProgramSpec(info.name)
+            row = Table2Row(info.name, info.measured_depth)
+            for offset in offsets:
+                depth = info.measured_depth + offset
+                best_rate, best_h = -1.0, histories[0]
+                for h in histories:
+                    campaign = run_campaign_parallel(
+                        program,
+                        SchedulerSpec("pctwm", {"depth": depth,
+                                                "k_com": est.k_com,
+                                                "history": h}),
+                        trials=trials,
+                        base_seed=seed + 1000 * offset + 100 * h,
+                        jobs=jobs,
+                        sanitize=sanitize,
+                        pool=pool,
+                    )
+                    row.errors += campaign.errors
+                    row.timeouts += campaign.timeouts
+                    row.inconsistent += campaign.inconsistent
+                    if campaign.hit_rate > best_rate:
+                        best_rate, best_h = campaign.hit_rate, h
+                row.rates[offset] = best_rate
+                row.histories[offset] = best_h
+            rows.append(row)
     return rows
 
 
@@ -164,26 +166,28 @@ def table3(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
            jobs: int = 1, sanitize: str = "off") -> List[Table3Row]:
     """PCTWM hit rates for h = 1..4 at the benchmark's measured depth."""
     rows = []
-    for info in _selected(benchmarks):
-        est = estimate_parameters(info.build(), runs=3, seed=seed)
-        program = ProgramSpec(info.name)
-        row = Table3Row(info.name, est.k_com, info.measured_depth)
-        for h in histories:
-            campaign = run_campaign_parallel(
-                program,
-                SchedulerSpec("pctwm", {"depth": info.measured_depth,
-                                        "k_com": est.k_com,
-                                        "history": h}),
-                trials=trials,
-                base_seed=seed + 10 * h,
-                jobs=jobs,
-                sanitize=sanitize,
-            )
-            row.rates[h] = campaign.hit_rate
-            row.errors += campaign.errors
-            row.timeouts += campaign.timeouts
-            row.inconsistent += campaign.inconsistent
-        rows.append(row)
+    with CampaignPool(jobs) as pool:
+        for info in _selected(benchmarks):
+            est = estimate_parameters(info.build(), runs=3, seed=seed)
+            program = ProgramSpec(info.name)
+            row = Table3Row(info.name, est.k_com, info.measured_depth)
+            for h in histories:
+                campaign = run_campaign_parallel(
+                    program,
+                    SchedulerSpec("pctwm", {"depth": info.measured_depth,
+                                            "k_com": est.k_com,
+                                            "history": h}),
+                    trials=trials,
+                    base_seed=seed + 10 * h,
+                    jobs=jobs,
+                    sanitize=sanitize,
+                    pool=pool,
+                )
+                row.rates[h] = campaign.hit_rate
+                row.errors += campaign.errors
+                row.timeouts += campaign.timeouts
+                row.inconsistent += campaign.inconsistent
+            rows.append(row)
     return rows
 
 

@@ -401,7 +401,7 @@ class TestSigterm:
 
 def make_supervisor(**kwargs):
     defaults = dict(
-        shards=[], jobs=1, ctx=None, max_retries=2,
+        shards=[], pool=None, max_retries=2,
         retry_backoff_s=kwargs.pop("retry_backoff_s", 0.1),
         journal=None, on_progress=lambda outcome: None,
         accumulator=CampaignAccumulator(),
