@@ -453,9 +453,7 @@ def run_fuzz(base_seed: int = 0, count: int = 20, model: str = "c11",
     if count < 1:
         raise ValueError("count must be >= 1")
     backend = resolve_model(model)
-    if not backend.supports_scheduler(scheduler):
-        raise ValueError(
-            f"scheduler {scheduler!r} is not supported by model {model!r}")
+    backend.require_scheduler(scheduler)
     config = config or FuzzConfig()
     deadline = None if budget_s is None else time.monotonic() + budget_s
     report = FuzzReport(model=backend.name, scheduler=scheduler,

@@ -729,6 +729,27 @@ def resolve_campaign_names(program_factory: ProgramFactory,
     return program_name, scheduler_name
 
 
+def require_model_scheduler(model: str,
+                            scheduler_factory: SchedulerFactory,
+                            base_seed: int) -> None:
+    """Refuse, before any trial runs, a scheduler ``model`` does not support.
+
+    Specs name their scheduler statically; a closure factory is probed
+    once, and only under a model with an allowlist.  A probe that raises
+    is left to the trials, which contain it as errors.
+    """
+    backend = resolve_model(model)
+    if backend.scheduler_allowlist is None:
+        return
+    name = getattr(scheduler_factory, "scheduler_name", None)
+    if name is None:
+        try:
+            name = scheduler_factory(derive_trial_seed(base_seed, 0)).name
+        except Exception:
+            return
+    backend.require_scheduler(name)
+
+
 def run_campaign(program_factory: ProgramFactory,
                  scheduler_factory: SchedulerFactory,
                  trials: int = 100,
@@ -764,6 +785,7 @@ def run_campaign(program_factory: ProgramFactory,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    require_model_scheduler(model, scheduler_factory, base_seed)
     program_name, sched_name = resolve_campaign_names(
         program_factory, scheduler_factory, base_seed, scheduler_name)
     result = CampaignResult(

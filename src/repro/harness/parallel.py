@@ -92,6 +92,7 @@ from .campaign import (
     SchedulerFactory,
     TrialRecord,
     TrialRunner,
+    require_model_scheduler,
     resolve_campaign_names,
     run_campaign,
 )
@@ -737,6 +738,7 @@ def run_campaign_parallel(
         raise ValueError("trials must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
+    require_model_scheduler(model, scheduler_factory, base_seed)
     pool_options = dict(
         start_method=start_method, hang_timeout_s=hang_timeout_s,
         memory_limit_mb=memory_limit_mb, watchdog_stats=watchdog_stats,

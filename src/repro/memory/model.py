@@ -53,8 +53,6 @@ class MemoryModel:
     name = "abstract"
     #: Scheduler-registry names this model supports; None means all.
     scheduler_allowlist: Optional[Tuple[str, ...]] = None
-    #: Whether runtime thread creation (SpawnOp) is supported.
-    supports_spawn = True
 
     def executor_class(self):
         raise NotImplementedError
@@ -78,6 +76,18 @@ class MemoryModel:
     def supports_scheduler(self, scheduler_name: str) -> bool:
         allow = self.scheduler_allowlist
         return allow is None or scheduler_name in allow
+
+    def require_scheduler(self, scheduler_name: str) -> None:
+        """Raise ``ValueError`` if this model refuses the scheduler.
+
+        The one refusal message shared by campaigns, ``repro fuzz`` and
+        daemon job validation.
+        """
+        if not self.supports_scheduler(scheduler_name):
+            raise ValueError(
+                f"scheduler {scheduler_name!r} is not supported under the "
+                f"{self.name} memory model; supported: "
+                + ", ".join(self.scheduler_allowlist))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MemoryModel {self.name}>"
@@ -111,8 +121,6 @@ class TsoModel(MemoryModel):
 
     name = "tso"
     scheduler_allowlist = ("naive", "pct", "pctwm", "pos")
-    #: Flush agents are allocated per thread at run start.
-    supports_spawn = False
 
     def executor_class(self):
         from ..tso.backend import TsoExecutor

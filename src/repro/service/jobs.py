@@ -102,12 +102,7 @@ class JobSpec:
             raise ValueError(
                 f"unknown model {self.model!r}; known: "
                 + ", ".join(_MODEL_CHOICES))
-        model = resolve_model(self.model)
-        if not model.supports_scheduler(self.scheduler):
-            raise ValueError(
-                f"scheduler {self.scheduler!r} is not supported under the "
-                f"{model.name} memory model; supported: "
-                + ", ".join(model.scheduler_allowlist))
+        resolve_model(self.model).require_scheduler(self.scheduler)
         if self.benchmark not in BENCHMARKS:
             raise ValueError(
                 f"unknown benchmark {self.benchmark!r}; known: "

@@ -11,7 +11,10 @@ schedulers and the campaign/artifact/replay harness:
 * runs truncated at ``max_steps`` drain their buffers instead of
   leaving reads dangling from never-committed writes;
 * campaigns, bug artifacts, and replay run end-to-end under
-  ``model="tso"`` and record the model for replay dispatch.
+  ``model="tso"`` and record the model for replay dispatch;
+* the store-buffer semantics themselves: store forwarding, fence and
+  RMW draining, the shapes TSO forbids, and PCTWM's Section 5.4
+  guarantee with flushes as the communication events.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core import NaiveRandomScheduler, PCTScheduler, PCTWMScheduler
+from repro.core.guarantees import pctwm_lower_bound
 from repro.core.pos import POSScheduler
+from repro.harness.stats import wilson_interval
 from repro.litmus import ALL_LITMUS
-from repro.litmus.programs import store_buffering
+from repro.litmus.programs import p1, store_buffering
 from repro.memory import check_consistency, resolve_model
 from repro.memory.events import RLX, SC
-from repro.runtime import Program
+from repro.runtime import Program, fence, require
 from repro.runtime.errors import ProgramDefinitionError
-from repro.tso import TsoExecutionState
 
 TSO = resolve_model("tso")
 
@@ -90,10 +94,13 @@ class TestFlushCommitPath:
         assert not result.inconsistent
 
     def test_all_writes_committed_on_clean_exit(self):
-        result = TSO.run_once(ALL_LITMUS["2+2W"](),
-                              NaiveRandomScheduler(seed=3), max_steps=2000)
-        writes = [e for e in result.graph.events if e.is_write]
-        assert writes and all(e.mo_index >= 0 for e in writes)
+        for name in ("2+2W", "SB"):
+            result = TSO.run_once(ALL_LITMUS[name](),
+                                  NaiveRandomScheduler(seed=3),
+                                  max_steps=2000)
+            assert result.steps > 0
+            writes = [e for e in result.graph.events if e.is_write]
+            assert writes and all(e.mo_index >= 0 for e in writes)
 
 
 class TestTruncationDrain:
@@ -141,14 +148,17 @@ class TestSchedulerContracts:
             assert hits > 0, f"{name} never delayed a flush into SB's window"
 
     def test_forbidden_shapes_never_hit(self):
-        for name in ("MP", "LB", "IRIW", "CoRR", "2+2W"):
+        """TSO preserves W->W and R->R and is multi-copy atomic: only the
+        SB shape is weak.  (MP2's bug needs R->R/W->W reordering.)"""
+        for name in ("MP", "MP2", "LB", "IRIW", "CoRR", "2+2W"):
             factory = ALL_LITMUS[name]
-            for seed in range(40):
-                result = TSO.run_once(factory(),
-                                      NaiveRandomScheduler(seed=seed),
-                                      max_steps=2000, keep_graph=False)
-                assert not result.bug_found, \
-                    f"{name} weak outcome is forbidden under TSO"
+            for make in (SCHEDULER_MAKERS["naive"],
+                         SCHEDULER_MAKERS["pctwm"]):
+                for seed in range(40):
+                    result = TSO.run_once(factory(), make(seed),
+                                          max_steps=2000, keep_graph=False)
+                    assert not result.bug_found, \
+                        f"{name} weak outcome is forbidden under TSO"
 
     def test_runs_are_seed_deterministic(self):
         factory = ALL_LITMUS["SB"]
@@ -203,6 +213,113 @@ class TestSchedulerContracts:
                          max_steps=100, keep_graph=False)
 
 
+class TestStoreBufferSemantics:
+    """x86-TSO pins: forwarding, MFENCE/LOCK draining, atomic RMW."""
+
+    def test_store_forwarding(self):
+        """A thread always sees its own buffered store."""
+        p = Program("forwarding")
+        x = p.atomic("X", 0)
+
+        def t():
+            yield x.store(7, RLX)
+            value = yield x.load(RLX)
+            require(value == 7, f"lost own buffered store: {value}")
+            return value
+
+        def other():
+            yield x.load(RLX)
+
+        p.add_thread(t)
+        p.add_thread(other)
+        for make in SCHEDULER_MAKERS.values():
+            for seed in range(50):
+                result = TSO.run_once(p, make(seed), max_steps=2000,
+                                      keep_graph=False)
+                assert not result.bug_found
+
+    def test_fence_drains_buffer(self):
+        """SB with a fence between store and load is safe on TSO."""
+
+        def fenced_sb():
+            p = Program("SB+mfence")
+            x = p.atomic("X", 0)
+            y = p.atomic("Y", 0)
+
+            def left():
+                yield x.store(1, RLX)
+                yield fence(SC)
+                return (yield y.load(RLX))
+
+            def right():
+                yield y.store(1, RLX)
+                yield fence(SC)
+                return (yield x.load(RLX))
+
+            p.add_thread(left)
+            p.add_thread(right)
+            p.add_final_check(
+                lambda r: require(r["left"] == 1 or r["right"] == 1,
+                                  "fenced SB must not both read 0")
+            )
+            return p
+
+        for make in SCHEDULER_MAKERS.values():
+            for seed in range(300):
+                result = TSO.run_once(fenced_sb(), make(seed),
+                                      max_steps=2000, keep_graph=False)
+                assert not result.bug_found
+
+    def test_rmw_drains_and_is_atomic(self):
+        p = Program("tso-rmw")
+        x = p.atomic("X", 0)
+
+        def t():
+            yield x.fetch_add(1, RLX)
+
+        p.add_thread(t, name="a")
+        p.add_thread(t, name="b")
+        for make in SCHEDULER_MAKERS.values():
+            for seed in range(40):
+                result = TSO.run_once(p, make(seed), max_steps=2000)
+                assert result.graph.mo_max("X").label.wval == 2
+
+    def test_p1_reachable_by_pct(self):
+        """P1's bug is an interleaving bug: reads see the committed
+        mo-max, so PCT reaches it through its priorities alone."""
+        hits = sum(
+            TSO.run_once(p1(3, order=RLX), PCTScheduler(1, 8, seed=seed),
+                         max_steps=2000, keep_graph=False).bug_found
+            for seed in range(300)
+        )
+        assert hits > 0
+
+
+class TestPctwmGuarantee:
+    """Section 5.4 on TSO: flushes are the communication events."""
+
+    #: SB's k_com: two flushes plus two loads.
+    SB_K_COM = 4
+
+    @pytest.mark.parametrize("depth,history", [(2, 1), (2, 2), (3, 1),
+                                               (3, 2)])
+    def test_sb_hit_rate_meets_pctwm_bound(self, depth, history):
+        # (d=1, h=1) is left out: its bound (0.25) sits too close to the
+        # true rate for a 400-run Wilson interval to clear it reliably.
+        trials = 400
+        hits = 0
+        for seed in range(trials):
+            result = TSO.run_once(store_buffering(),
+                                  PCTWMScheduler(depth, self.SB_K_COM,
+                                                 history, seed=seed),
+                                  max_steps=2000, keep_graph=False)
+            assert result.k_com == self.SB_K_COM
+            hits += result.bug_found
+        low, _ = wilson_interval(hits, trials)
+        assert low >= pctwm_lower_bound(self.SB_K_COM, depth, history), \
+            (hits, trials)
+
+
 class TestModelRegistry:
     def test_resolve_model(self):
         assert resolve_model("tso").name == "tso"
@@ -215,6 +332,40 @@ class TestModelRegistry:
         assert tso.supports_scheduler("pctwm")
         assert not tso.supports_scheduler("c11tester")
         assert resolve_model("c11").supports_scheduler("c11tester")
+
+    def test_unsupported_scheduler_refused_everywhere(self):
+        """Both campaign entry points, ``repro fuzz`` and daemon job
+        validation refuse c11tester under TSO with one message, before
+        any trial runs."""
+        from repro.core.factory import SchedulerSpec
+        from repro.fuzz import run_fuzz
+        from repro.harness.campaign import run_campaign
+        from repro.harness.parallel import run_campaign_parallel
+        from repro.service.jobs import JobSpec
+        from repro.workloads import BENCHMARKS
+
+        built = []
+
+        def program():
+            built.append(1)
+            return BENCHMARKS["dekker"].build()
+
+        spec = SchedulerSpec("c11tester", {})
+        attempts = (
+            lambda: run_campaign(program, spec, trials=20, model="tso"),
+            lambda: run_campaign_parallel(program, spec, trials=20, jobs=2,
+                                          model="tso"),
+            lambda: run_fuzz(count=1, model="tso", scheduler="c11tester"),
+            lambda: JobSpec("dekker", scheduler="c11tester",
+                            model="tso").validate(),
+        )
+        for attempt in attempts:
+            with pytest.raises(ValueError) as info:
+                attempt()
+            assert str(info.value) == (
+                "scheduler 'c11tester' is not supported under the tso "
+                "memory model; supported: naive, pct, pctwm, pos")
+        assert built == []
 
 
 class TestHarnessEndToEnd:
