@@ -15,7 +15,7 @@ from repro.core import (
     PPCTScheduler,
 )
 from repro.core.depth import estimate_parameters
-from repro.harness import run_campaign, significantly_greater
+from repro.harness import run_campaign_parallel, significantly_greater
 from repro.workloads import BENCHMARKS
 
 
@@ -26,24 +26,24 @@ def test_all_schedulers(benchmark, trials, report):
             est = estimate_parameters(info.build(), runs=3)
             d, h = info.measured_depth, info.best_history
             campaigns = {
-                "naive": run_campaign(
+                "naive": run_campaign_parallel(
                     info.build, lambda s: NaiveRandomScheduler(seed=s),
                     trials=trials),
-                "c11tester": run_campaign(
+                "c11tester": run_campaign_parallel(
                     info.build, lambda s: C11TesterScheduler(seed=s),
                     trials=trials),
-                "pos": run_campaign(
+                "pos": run_campaign_parallel(
                     info.build, lambda s: POSScheduler(seed=s),
                     trials=trials),
-                "pct": run_campaign(
+                "pct": run_campaign_parallel(
                     info.build,
                     lambda s: PCTScheduler(max(d, 1) + 1, est.k, seed=s),
                     trials=trials),
-                "ppct": run_campaign(
+                "ppct": run_campaign_parallel(
                     info.build,
                     lambda s: PPCTScheduler(max(d, 1) + 1, est.k, seed=s),
                     trials=trials),
-                "pctwm": run_campaign(
+                "pctwm": run_campaign_parallel(
                     info.build,
                     lambda s: PCTWMScheduler(d, est.k_com, h, seed=s),
                     trials=trials),

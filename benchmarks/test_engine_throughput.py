@@ -4,40 +4,27 @@ Not a paper table — supporting data for Table 4's overhead story: the gap
 between C11Tester and PCTWM here is the cost of view/bag maintenance,
 and the fast/reference split measures what the incremental caches buy.
 Rows land in ``benchmarks/output/bench_rows.json`` via ``bench_json``;
-``python -m repro bench`` produces the committed trajectory from the
-same workload/scheduler grid.
+the grid is ``repro bench``'s own (``SCHEDULER_SPECS`` on the silo
+workload), which produces the committed trajectory.
 """
 
 import pytest
 
-from repro.core import (
-    C11TesterScheduler,
-    NaiveRandomScheduler,
-    PCTScheduler,
-    PCTWMScheduler,
-    POSScheduler,
-)
+from repro.harness.bench import MAX_STEPS, SCHEDULER_SPECS, WORKLOAD_SPECS
 from repro.runtime import run_once
-from repro.workloads.apps import silo
 
-FACTORIES = {
-    "naive": lambda s: NaiveRandomScheduler(seed=s),
-    "c11tester": lambda s: C11TesterScheduler(seed=s),
-    "pct": lambda s: PCTScheduler(2, 120, seed=s),
-    "pctwm": lambda s: PCTWMScheduler(2, 100, 2, seed=s),
-    "pos": lambda s: POSScheduler(seed=s),
-}
+SILO = WORKLOAD_SPECS["silo"]
 
 
 @pytest.mark.parametrize("engine", ("fast", "reference"))
-@pytest.mark.parametrize("name", sorted(FACTORIES))
+@pytest.mark.parametrize("name", sorted(SCHEDULER_SPECS))
 def test_events_per_second(benchmark, bench_json, name, engine):
-    make = FACTORIES[name]
+    make = SCHEDULER_SPECS[name]
     seeds = iter(range(10 ** 6))
 
     def one_run():
-        return run_once(silo(workers=3, transactions=6), make(next(seeds)),
-                        keep_graph=False, max_steps=100000, engine=engine)
+        return run_once(SILO(), make(next(seeds)), keep_graph=False,
+                        max_steps=MAX_STEPS, engine=engine)
 
     result = benchmark(one_run)
     assert result.k > 0

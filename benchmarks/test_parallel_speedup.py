@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.core import SchedulerSpec
-from repro.harness import run_campaign, run_campaign_parallel
+from repro.harness import run_campaign_parallel
 from repro.workloads import ProgramSpec
 
 from conftest import trials_default
@@ -36,7 +36,8 @@ def test_parallel_matches_serial_at_scale():
     program, sched = _campaign_case()
 
     t0 = time.perf_counter()
-    serial = run_campaign(program, sched, trials=trials, base_seed=0)
+    serial = run_campaign_parallel(program, sched, trials=trials,
+                                   base_seed=0, jobs=1)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

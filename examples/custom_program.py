@@ -12,7 +12,7 @@ other stays stale in the local view — a torn record inside the lock.
 
 from repro import ACQ, REL, RLX, PCTWMScheduler, Program, require, run_once
 from repro.core.depth import estimate_parameters
-from repro.harness import pctwm_factory, run_campaign
+from repro.harness import pctwm_factory, run_campaign_parallel
 
 
 def make_spinlock_program(broken: bool) -> Program:
@@ -52,8 +52,8 @@ def main() -> None:
             return make_spinlock_program(b)
 
         est = estimate_parameters(build(), runs=5)
-        campaign = run_campaign(build, pctwm_factory(2, est.k_com, 1),
-                                trials=300)
+        campaign = run_campaign_parallel(
+            build, pctwm_factory(2, est.k_com, 1), trials=300)
         label = "broken (relaxed unlock)" if broken else "correct (rel/acq)"
         print(f"{label:28s} d=2 campaign: {campaign.hit_rate:5.1f}% "
               f"({est})")

@@ -16,7 +16,7 @@ import sys
 from repro import PCTWMScheduler, run_once
 from repro.analysis import audit_run, format_trace
 from repro.core.depth import empirical_bug_depth, estimate_parameters
-from repro.harness import pctwm_factory, run_campaign
+from repro.harness import pctwm_factory, run_campaign_parallel
 from repro.workloads import BENCHMARKS
 
 
@@ -35,7 +35,7 @@ def main() -> None:
         print("    no bug found up to d = 4; stopping")
         return
 
-    campaign = run_campaign(
+    campaign = run_campaign_parallel(
         info.build,
         pctwm_factory(depth, est.k_com, info.best_history),
         trials=200,

@@ -499,6 +499,10 @@ def run_fuzz(base_seed: int = 0, count: int = 20, model: str = "c11",
                     sanitize=sanitize, artifact_dir=tmp,
                     spin_threshold=spin_threshold, record_mode="on_failure",
                     model=backend.name, pool=pool)
+                if result.interrupted:
+                    # A cut-short campaign is no program report: an
+                    # interrupt stops the whole fuzz run.
+                    raise KeyboardInterrupt
                 artifacts = [load_artifact(path)
                              for path in sorted(result.artifacts)]
 

@@ -25,8 +25,6 @@ from .campaign import (
     naive_factory,
     pct_factory,
     pctwm_factory,
-    run_campaign,
-    run_trial,
 )
 from .checkpoint import (
     TrialJournal,
@@ -98,7 +96,6 @@ __all__ = [
     "load_journal",
     "print_progress",
     "run_campaign_parallel",
-    "run_trial",
     "line_chart",
     "line_charts",
     "CoverageReport",
@@ -127,7 +124,6 @@ __all__ = [
     "render_table2",
     "render_table3",
     "render_table4",
-    "run_campaign",
     "significantly_greater",
     "stdev",
     "two_proportion_z",

@@ -32,11 +32,10 @@ from ..core.factory import SchedulerSpec
 from ..memory.model import resolve_model
 from ..runtime import run_once
 from ..workloads.registry import ProgramSpec
-from .campaign import run_campaign
 from .parallel import run_campaign_parallel
 
-#: Scheduler configurations benchmarked, mirroring
-#: benchmarks/test_engine_throughput.py.
+#: Scheduler configurations benchmarked (also the grid of
+#: benchmarks/test_engine_throughput.py).
 SCHEDULER_SPECS: Dict[str, SchedulerSpec] = {
     "naive": SchedulerSpec("naive"),
     "c11tester": SchedulerSpec("c11tester"),
@@ -143,21 +142,21 @@ def measure_campaign_throughput(trials: int, jobs: int,
     """
     program = WORKLOAD_SPECS["silo"]
     scheduler = SCHEDULER_SPECS["pctwm"]
-    run_campaign(program, scheduler, trials=max(trials // 4, 1),
-                 base_seed=base_seed + trials, max_steps=MAX_STEPS)
-    serial_s = math.inf
-    for _ in range(repeats):
+
+    def wall_s(n: int, seed: int, jobs: int) -> float:
         start = time.perf_counter()
-        run_campaign(program, scheduler, trials=trials,
-                     base_seed=base_seed, max_steps=MAX_STEPS)
-        serial_s = min(serial_s, time.perf_counter() - start)
-    parallel_s = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_campaign_parallel(program, scheduler, trials=trials,
-                              base_seed=base_seed, max_steps=MAX_STEPS,
-                              jobs=jobs)
-        parallel_s = min(parallel_s, time.perf_counter() - start)
+        result = run_campaign_parallel(program, scheduler, trials=n,
+                                       base_seed=seed, max_steps=MAX_STEPS,
+                                       jobs=jobs)
+        if result.interrupted:
+            # A cut-short campaign's wall would overstate its trials/s.
+            raise KeyboardInterrupt
+        return time.perf_counter() - start
+
+    wall_s(max(trials // 4, 1), base_seed + trials, 1)
+    serial_s = min(wall_s(trials, base_seed, 1) for _ in range(repeats))
+    parallel_s = min(wall_s(trials, base_seed, jobs)
+                     for _ in range(repeats))
     return {
         "trials": trials,
         "serial_trials_per_sec": round(trials / serial_s, 2),

@@ -5,10 +5,13 @@ A *campaign* runs a program factory under a scheduler factory for N trials
 reports the bug hitting rate plus timing, mirroring the artifact's metrics
 (Bug Hitting Rate %, Average Running time, Throughput).
 
-Trial ``i`` is seeded by ``derive_trial_seed(base_seed, i)`` — a
-splitmix-style derivation that makes trial streams independent across
-nearby base seeds and identical between the serial path here and the
-sharded parallel path in :mod:`repro.harness.parallel`.
+This module holds the per-trial parts: :class:`TrialRunner` runs one
+trial, :class:`CampaignAccumulator` folds its :class:`TrialRecord` into a
+:class:`CampaignResult`.  Campaigns themselves, serial or pooled, run
+through :func:`repro.harness.parallel.run_campaign_parallel`.  Trial
+``i`` is seeded by ``derive_trial_seed(base_seed, i)`` — a splitmix-style
+derivation that makes trial streams independent across nearby base seeds
+and identical however the trials are sharded.
 
 Fast path
     Campaign trials share far more than they differ in: the same program,
@@ -26,7 +29,6 @@ Fast path
 
 from __future__ import annotations
 
-import gc
 import heapq
 import math
 import os
@@ -40,8 +42,7 @@ from ..core.naive import NaiveRandomScheduler
 from ..core.pct import PCTScheduler
 from ..core.pctwm import PCTWMScheduler
 from ..memory.model import resolve_model
-from ..runtime.executor import (ExecutionState, Executor, RunResult,
-                                run_once)
+from ..runtime.executor import ExecutionState, Executor, RunResult
 from ..runtime.program import Program
 from ..runtime.scheduler import Scheduler
 from .seeding import derive_trial_seed, sample_rank
@@ -124,8 +125,8 @@ class CampaignResult:
     operations: int = 0
     #: Worker processes used (1 = serial execution).
     jobs: int = 1
-    #: Wall time of each shard, in shard (= trial) order; empty when
-    #: the campaign ran serially.
+    #: Wall time of each shard run by this call, in shard (= trial)
+    #: order; empty when every trial was resumed from a checkpoint.
     shard_times_s: List[float] = field(default_factory=list)
     #: Trials whose workload/scheduler raised an unexpected exception.
     #: These are contained faults, not bugs: the campaign keeps going.
@@ -395,8 +396,9 @@ class TrialRunner:
       identical to what ``"always"`` would have captured — without
       taxing the overwhelmingly common clean trial.
 
-    Every reuse lever is seed-for-seed neutral: a runner's records match
-    :func:`run_trial` outcomes field for field (timings aside).
+    Every reuse lever is seed-for-seed neutral: a warm runner's records
+    match those of a fresh runner per trial field for field (timings
+    aside).
     """
 
     def __init__(self, program_factory: ProgramFactory,
@@ -479,11 +481,24 @@ class TrialRunner:
     # -- one trial -----------------------------------------------------------
 
     def run(self, index: int) -> TrialRecord:
-        """Run campaign trial ``index`` — the unit shared by serial and
-        parallel campaigns, so both execute bit-identical work.
+        """Run campaign trial ``index`` — the unit every shard runs, so
+        serial and pooled campaigns execute bit-identical work.
 
-        Fault containment, sanitizer sampling, and artifact policy are
-        those of :func:`run_trial` (which delegates here).
+        Faults are *contained*: any exception escaping the workload, the
+        scheduler, or the engine (``ReproError``,
+        ``ProgramDefinitionError``, arbitrary workload crashes) becomes a
+        record with ``error`` set instead of aborting the campaign.
+        ``KeyboardInterrupt`` and ``SystemExit`` still propagate —
+        interrupting a campaign is an operator action, not a trial fault.
+
+        With ``sanitize`` on (``"all"``, or ``"sampled"`` for every
+        :data:`SANITIZE_SAMPLE_STRIDE`-th trial) the run additionally
+        audits its execution graph against the consistency axioms;
+        violations mark the record ``inconsistent``.  With
+        ``artifact_dir`` set, any bug/error/timeout/inconsistent outcome
+        is serialized as a replayable JSON artifact there (written here,
+        in the worker, so it survives the process boundary); see
+        :data:`RECORD_MODES` for when the decision trace is captured.
         """
         trial_seed = derive_trial_seed(self.base_seed, index)
         sanitize_run = sanitize_this_trial(self.sanitize, index)
@@ -606,44 +621,6 @@ class TrialRunner:
         return recorder
 
 
-def run_trial(program_factory: ProgramFactory,
-              scheduler_factory: SchedulerFactory,
-              base_seed: int, index: int, max_steps: int = 20000,
-              count_operations: Optional[Callable[[RunResult], int]] = None,
-              trial_timeout_s: Optional[float] = None,
-              sanitize: str = "off",
-              artifact_dir: Optional[str] = None,
-              spin_threshold: int = 8,
-              record_mode: str = "on_failure",
-              model: str = "c11",
-              ) -> TrialRecord:
-    """Run a single campaign trial with a throwaway :class:`TrialRunner`.
-
-    Faults are *contained*: any exception escaping the workload, the
-    scheduler, or the engine (``ReproError``, ``ProgramDefinitionError``,
-    arbitrary workload crashes) becomes a :class:`TrialRecord` with
-    ``error`` set instead of aborting the campaign.  ``KeyboardInterrupt``
-    and ``SystemExit`` still propagate — interrupting a campaign is an
-    operator action, not a trial fault.
-
-    With ``sanitize`` on (``"all"``, or ``"sampled"`` for every
-    :data:`SANITIZE_SAMPLE_STRIDE`-th trial) the run additionally audits
-    its execution graph against the C11 consistency axioms; violations
-    mark the record ``inconsistent`` without aborting anything.  With
-    ``artifact_dir`` set, any bug/error/timeout/inconsistent outcome is
-    serialized as a replayable JSON artifact in that directory (written
-    here, in the worker, so it survives the process boundary); see
-    :data:`RECORD_MODES` for when the decision trace is captured.
-    """
-    return TrialRunner(
-        program_factory, scheduler_factory, base_seed,
-        max_steps=max_steps, count_operations=count_operations,
-        trial_timeout_s=trial_timeout_s, sanitize=sanitize,
-        artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        record_mode=record_mode, model=model,
-    ).run(index)
-
-
 def _write_artifact(artifact_dir: str, program_factory: ProgramFactory,
                     scheduler_factory: SchedulerFactory,
                     recorder, run: Optional[RunResult],
@@ -684,139 +661,40 @@ def _write_artifact(artifact_dir: str, program_factory: ProgramFactory,
     return artifact.save(artifact_path(artifact_dir, index))
 
 
-def fold_trial(result: CampaignResult, record: TrialRecord) -> None:
-    """Accumulate one trial into the campaign aggregate.
-
-    Compatibility wrapper over :class:`CampaignAccumulator`: the
-    accumulator rides along on the result object and the aggregate
-    fields are re-finalized after every fold, so incremental callers
-    observe up-to-date totals.  Hot paths fold into an accumulator
-    directly and finalize once.
-    """
-    acc = getattr(result, "_accumulator", None)
-    if acc is None:
-        acc = result._accumulator = CampaignAccumulator()
-    acc.add(record)
-    acc.finalize(result)
-
-
 def resolve_campaign_names(program_factory: ProgramFactory,
                            scheduler_factory: SchedulerFactory,
                            base_seed: int,
-                           scheduler_name: Optional[str]) -> tuple:
+                           scheduler_name: Optional[str],
+                           model: str = "c11") -> tuple:
     """The (program, scheduler) display names for a campaign result.
 
-    Builds a throwaway probe scheduler only when the caller did not name
-    the scheduler — factory specs carry their name statically.  A probe
-    that *raises* is contained (the campaign must survive a crashing
-    workload to report it as errors), falling back to the factory's own
-    name.
+    Also refuses, before any program is built or trial runs, a scheduler
+    ``model`` does not support.  Specs name their scheduler statically; a
+    closure factory is probed at most once, and only when its name is
+    needed (no ``scheduler_name`` given, or a model with an allowlist).
+    A probe that *raises* is contained (the campaign must survive a
+    crashing workload to report it as errors), falling back to the
+    factory's own name and leaving the allowlist to the trials.
     """
-    if scheduler_name is None:
-        scheduler_name = getattr(scheduler_factory, "scheduler_name", None)
-    if scheduler_name is None:
+    backend = resolve_model(model)
+    name = getattr(scheduler_factory, "scheduler_name", None)
+    if name is None and (scheduler_name is None
+                         or backend.scheduler_allowlist is not None):
         try:
-            scheduler_name = scheduler_factory(
-                derive_trial_seed(base_seed, 0)).name
+            name = scheduler_factory(derive_trial_seed(base_seed, 0)).name
         except Exception:
-            scheduler_name = getattr(scheduler_factory, "__name__",
-                                     "<scheduler>")
+            pass
+    if name is not None and backend.scheduler_allowlist is not None:
+        backend.require_scheduler(name)
+    if scheduler_name is None:
+        scheduler_name = name or getattr(scheduler_factory, "__name__",
+                                         "<scheduler>")
     try:
         program_name = program_factory().name
     except Exception:
         program_name = getattr(program_factory, "name", None) \
             or getattr(program_factory, "__name__", "<program>")
     return program_name, scheduler_name
-
-
-def require_model_scheduler(model: str,
-                            scheduler_factory: SchedulerFactory,
-                            base_seed: int) -> None:
-    """Refuse, before any trial runs, a scheduler ``model`` does not support.
-
-    Specs name their scheduler statically; a closure factory is probed
-    once, and only under a model with an allowlist.  A probe that raises
-    is left to the trials, which contain it as errors.
-    """
-    backend = resolve_model(model)
-    if backend.scheduler_allowlist is None:
-        return
-    name = getattr(scheduler_factory, "scheduler_name", None)
-    if name is None:
-        try:
-            name = scheduler_factory(derive_trial_seed(base_seed, 0)).name
-        except Exception:
-            return
-    backend.require_scheduler(name)
-
-
-def run_campaign(program_factory: ProgramFactory,
-                 scheduler_factory: SchedulerFactory,
-                 trials: int = 100,
-                 base_seed: int = 0,
-                 max_steps: int = 20000,
-                 scheduler_name: Optional[str] = None,
-                 count_operations: Optional[Callable[[RunResult], int]] = None,
-                 trial_timeout_s: Optional[float] = None,
-                 sanitize: str = "off",
-                 artifact_dir: Optional[str] = None,
-                 spin_threshold: int = 8,
-                 record_mode: str = "on_failure",
-                 model: str = "c11",
-                 ) -> CampaignResult:
-    """Run ``trials`` independent randomized tests and aggregate.
-
-    Trials that raise are contained as ``errors``; trials that exhaust
-    ``trial_timeout_s`` of wall clock are contained as ``timeouts`` —
-    neither aborts the campaign (see :func:`run_trial`).  ``sanitize``
-    audits trial graphs against the consistency axioms (``"sampled"``:
-    every :data:`SANITIZE_SAMPLE_STRIDE`-th trial; ``"all"``: every
-    trial); ``artifact_dir`` makes failing trials emit replayable bug
-    artifacts there (``record_mode`` selects how their traces are
-    captured).  ``model`` selects the memory-model backend every trial
-    executes under (``"c11"`` default, ``"tso"``); artifacts record it
-    so replay picks the same backend.
-
-    Trials execute on one warm :class:`TrialRunner` with the cyclic
-    garbage collector paused (collected every
-    :data:`GC_COLLECT_STRIDE` trials) — seed-for-seed identical
-    outcomes to running each trial in isolation, at a fraction of the
-    per-trial overhead.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    require_model_scheduler(model, scheduler_factory, base_seed)
-    program_name, sched_name = resolve_campaign_names(
-        program_factory, scheduler_factory, base_seed, scheduler_name)
-    result = CampaignResult(
-        program=program_name,
-        scheduler=sched_name,
-        trials=trials,
-    )
-    runner = TrialRunner(
-        program_factory, scheduler_factory, base_seed,
-        max_steps=max_steps, count_operations=count_operations,
-        trial_timeout_s=trial_timeout_s, sanitize=sanitize,
-        artifact_dir=artifact_dir, spin_threshold=spin_threshold,
-        record_mode=record_mode, model=model,
-    )
-    acc = CampaignAccumulator()
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    start = time.perf_counter()
-    try:
-        for i in range(trials):
-            acc.add(runner.run(i))
-            if (i + 1) % GC_COLLECT_STRIDE == 0:
-                gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    result.elapsed_s = time.perf_counter() - start
-    acc.finalize(result)
-    return result
-
 
 # -- convenience scheduler factories ------------------------------------------
 

@@ -56,6 +56,10 @@ def figure5(trials: int = 100, seed: int = 0,
                 result = run_campaign_parallel(
                     program, scheduler, trials=trials, base_seed=base_seed,
                     jobs=jobs, sanitize=sanitize, pool=pool)
+                if result.interrupted:
+                    # A sweep has no use for a cut-short cell: an
+                    # interrupt stops the whole sweep.
+                    raise KeyboardInterrupt
                 campaigns.append(result)
                 return result
 
@@ -152,6 +156,8 @@ def figure6(trials: int = 100, seed: int = 0,
                         program, scheduler, trials=trials,
                         base_seed=base_seed, jobs=jobs, sanitize=sanitize,
                         pool=pool)
+                    if result.interrupted:
+                        raise KeyboardInterrupt
                     campaigns.append(result)
                     return result.hit_rate
 

@@ -8,19 +8,26 @@ and *supervises* the shards so one fault cannot destroy a campaign:
 * **Work units are picklable.**  Programs and schedulers cross the
   process boundary as registry specs (:class:`repro.workloads.ProgramSpec`,
   :class:`repro.core.factory.SchedulerSpec`) or any other picklable
-  factory — not closures.
+  factory — not closures (which serial campaigns accept).
 * **Seeding is shard-independent.**  Trial ``i`` always runs with
   ``derive_trial_seed(base_seed, i)``, so the aggregate counts are
-  bit-identical to the serial path regardless of worker count, chunking,
-  or how often a shard had to be retried.
-* **Workers are warm, and a pool outlives a campaign.**  A
-  :class:`CampaignPool` owns worker processes that serve every campaign
-  of a sweep (``figure5``, ``table2``, ``repro fuzz``, ...).  Each shard
-  task ships a campaign token with the indices-free shard config; a
-  worker builds one :class:`~repro.harness.campaign.TrialRunner` —
-  program, scheduler, and pooled execution state — on the first shard
-  of a campaign and reuses it for every later shard with that token.
-  A campaign run without a pool opens a private one for its lifetime.
+  bit-identical regardless of worker count, chunking, or how often a
+  shard had to be retried.
+* **One shard loop, warm everywhere.**  :func:`_run_shard_warm` runs
+  every shard.  It builds one :class:`~repro.harness.campaign.TrialRunner`
+  — program, scheduler, and pooled execution state — on the first shard
+  of a campaign and reuses it for every later shard with that campaign's
+  token, with the cyclic collector paused and collected every
+  :data:`~repro.harness.campaign.GC_COLLECT_STRIDE` trials.
+* **Serial campaigns are campaigns without a pool.**  With ``jobs <= 1``
+  (or fewer trials than workers, where a pool start would dominate) the
+  same shards run in the parent, through the same supervisor, journal,
+  progress hook and interrupt handling as pooled shards.
+* **A pool outlives a campaign.**  A :class:`CampaignPool` owns worker
+  processes that serve every campaign of a sweep (``figure5``,
+  ``table2``, ``repro fuzz``, ...); each shard task ships a campaign
+  token with the indices-free shard config.  A pooled campaign run
+  without a pool opens a private one for its lifetime.
 * **Merging is deterministic and streaming.**  Shard records fold into
   a :class:`~repro.harness.campaign.CampaignAccumulator` as each shard
   finishes; the fold is order-independent, so ``hits``,
@@ -29,7 +36,7 @@ and *supervises* the shards so one fault cannot destroy a campaign:
   holds only bounded aggregate state.
 * **Faults are contained at three levels.**  A trial that raises or
   exhausts its wall-clock budget becomes an ``error``/``timeout``
-  record inside the worker (:func:`repro.harness.campaign.run_trial`).
+  record inside the worker (:meth:`repro.harness.campaign.TrialRunner.run`).
   A worker that *dies* (OOM kill, fork-unsafe state, segfault) breaks
   the pool; the supervisor rebuilds it and retries the lost shards with
   bounded retries and exponential backoff — retries are bit-identical
@@ -92,9 +99,7 @@ from .campaign import (
     SchedulerFactory,
     TrialRecord,
     TrialRunner,
-    require_model_scheduler,
     resolve_campaign_names,
-    run_campaign,
 )
 from .checkpoint import TrialJournal
 from .watchdog import HeartbeatBoard, Watchdog, WatchdogStats
@@ -118,21 +123,28 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 #: cannot compound into multi-minute stalls between pool rebuilds.
 RETRY_BACKOFF_CAP_S = 5.0
 
+#: Most trials in one shard.  A shard's records are held until the
+#: shard completes and folds, so this bounds the records in memory at
+#: once (and the work an interrupt can leave unjournaled) however large
+#: the campaign.
+MAX_SHARD_TRIALS = 2000
+
 
 @dataclass
 class ShardSpec:
-    """One worker-pool task: a slice of the trial index space.
+    """One shard: a slice of the trial index space.
 
-    ``indices`` is usually contiguous, but resuming from a checkpoint
-    shards only the *remaining* trials, which may have holes.  Everything
-    in here crosses the process boundary, so the factories must be
-    picklable (registry specs or module-level callables).
+    ``indices`` is usually a contiguous ``range``, but resuming from a
+    checkpoint shards only the *remaining* trials, which may have holes.
+    In a pooled campaign everything in here crosses the process boundary,
+    so the factories must be picklable (registry specs or module-level
+    callables).
     """
 
     program_factory: ProgramFactory
     scheduler_factory: SchedulerFactory
     base_seed: int
-    indices: Tuple[int, ...]
+    indices: Sequence[int]
     max_steps: int = 20000
     count_operations: Optional[Callable[[RunResult], int]] = None
     trial_timeout_s: Optional[float] = None
@@ -207,23 +219,18 @@ def print_progress(progress: CampaignProgress) -> None:
     print(f"  [campaign] {progress.render()}", file=sys.stderr, flush=True)
 
 
-def _run_shard(shard: ShardSpec) -> ShardResult:
-    """Cold shard entry point: build a runner, run one slice of trials.
+class _WarmRunner:
+    """The trial runner of the campaign whose token was seen last, plus
+    the trials run since the last manual collection."""
 
-    Used for in-process (degraded) execution; pooled workers use the
-    warm :func:`_run_shard_warm` instead.
-    """
-    t0 = time.perf_counter()
-    runner = shard.make_runner()
-    records = [runner.run(index) for index in shard.indices]
-    return ShardResult(shard.indices[0], records, time.perf_counter() - t0)
+    def __init__(self) -> None:
+        self.token: Optional[int] = None
+        self.runner: Optional[TrialRunner] = None
+        self.trials_since_gc = 0
 
 
-#: Per-worker-process warm state: the runner of the campaign whose
-#: token the worker saw last (see :func:`_run_shard_warm`).
-_WORKER_TOKEN: Optional[int] = None
-_WORKER_RUNNER: Optional[TrialRunner] = None
-_WORKER_TRIALS_SINCE_GC = 0
+#: Per-worker-process warm state (see :func:`_run_worker_shard`).
+_WORKER_WARM = _WarmRunner()
 #: The worker's claimed heartbeat slot (None when the pool runs without
 #: a hang watchdog or memory ceiling).
 _WORKER_HEARTBEAT = None
@@ -233,7 +240,7 @@ def _init_worker(board: Optional[HeartbeatBoard] = None) -> None:
     """Pool initializer: claim a heartbeat slot and pause the collector.
 
     Runs once per worker process.  The cyclic collector stays paused for
-    the worker's lifetime (trial loops collect manually, see
+    the worker's lifetime (the shard loop collects manually, see
     :func:`_run_shard_warm`).
     """
     global _WORKER_HEARTBEAT
@@ -246,45 +253,56 @@ def _init_worker(board: Optional[HeartbeatBoard] = None) -> None:
     gc.disable()
 
 
-def _run_shard_warm(token: int, config: ShardSpec,
-                    indices: Tuple[int, ...]) -> ShardResult:
-    """Warm shard entry point: run trial ``indices`` of campaign ``token``.
+def _run_shard_warm(token: Optional[int], config: ShardSpec,
+                    indices: Sequence[int], warm: _WarmRunner,
+                    heartbeat=None, inject: bool = False) -> ShardResult:
+    """Run trial ``indices`` of campaign ``token``: the one shard loop.
 
-    The first shard of a campaign on this worker builds its runner from
-    ``config``; later shards with the same token reuse it.  The build
-    runs with the heartbeat slot busy, so a factory that wedges is still
-    preemptible.  Each trial stamps the slot (one shared float store —
-    noise next to even the cheapest trial), and the slot is marked idle
-    on exit so a worker parked between shards is never mistaken for a
-    wedged one.
+    ``warm`` holds the runner of the campaign seen last: the first shard
+    of a campaign builds it from ``config``, later shards with the same
+    token reuse it.  The caller keeps the cyclic collector paused; the
+    loop collects every :data:`GC_COLLECT_STRIDE` trials.  ``heartbeat``
+    (a pool worker's slot, or None) is busy while the runner is built,
+    so a factory that wedges is still preemptible; each trial stamps it
+    (one shared float store — noise next to even the cheapest trial),
+    and it is marked idle on exit so a worker parked between shards is
+    never mistaken for a wedged one.  ``inject`` fires the fault rig's
+    directives (pool workers only).
     """
-    global _WORKER_TOKEN, _WORKER_RUNNER, _WORKER_TRIALS_SINCE_GC
-    heartbeat = _WORKER_HEARTBEAT
     if heartbeat is not None:
         heartbeat.beat()
     try:
-        faultrig.maybe_inject(heartbeat)
-        if token != _WORKER_TOKEN:
+        if inject:
+            faultrig.maybe_inject(heartbeat)
+        if warm.runner is None or token != warm.token:
             # Free the last campaign's runner before building this one,
             # and leave no stale runner paired with a token if it raises.
-            _WORKER_TOKEN = _WORKER_RUNNER = None
-            _WORKER_RUNNER = config.make_runner()
-            _WORKER_TOKEN = token
-        runner = _WORKER_RUNNER
+            warm.token = warm.runner = None
+            warm.runner = config.make_runner()
+            warm.token = token
+        runner = warm.runner
         t0 = time.perf_counter()
         records = []
         for index in indices:
             if heartbeat is not None:
                 heartbeat.beat()
             records.append(runner.run(index))
+            warm.trials_since_gc += 1
+            if warm.trials_since_gc >= GC_COLLECT_STRIDE:
+                warm.trials_since_gc = 0
+                gc.collect()
     finally:
         if heartbeat is not None:
             heartbeat.idle()
-    _WORKER_TRIALS_SINCE_GC += len(indices)
-    if _WORKER_TRIALS_SINCE_GC >= GC_COLLECT_STRIDE:
-        _WORKER_TRIALS_SINCE_GC = 0
-        gc.collect()
     return ShardResult(indices[0], records, time.perf_counter() - t0)
+
+
+def _run_worker_shard(token: int, config: ShardSpec,
+                      indices: Sequence[int]) -> ShardResult:
+    """Pool task: one shard on this worker's warm state, heartbeat slot
+    and fault rig."""
+    return _run_shard_warm(token, config, indices, _WORKER_WARM,
+                           _WORKER_HEARTBEAT, inject=True)
 
 
 def shard_bounds(trials: int, jobs: int,
@@ -292,10 +310,12 @@ def shard_bounds(trials: int, jobs: int,
     """Split ``range(trials)`` into contiguous ``(start, stop)`` slices.
 
     Oversplits to ``jobs * chunks_per_job`` shards for load balancing
-    (trial durations vary, e.g. when some seeds hit the step budget);
+    (trial durations vary, e.g. when some seeds hit the step budget),
+    and further so that no shard exceeds :data:`MAX_SHARD_TRIALS`;
     sharding never affects results because seeds are per-trial.
     """
-    shards = max(1, min(trials, jobs * max(1, chunks_per_job)))
+    shards = max(1, min(trials, max(jobs * max(1, chunks_per_job),
+                                    -(-trials // MAX_SHARD_TRIALS))))
     bounds = []
     base, extra = divmod(trials, shards)
     start = 0
@@ -494,7 +514,8 @@ class _ShardSupervisor:
     Owns the retry bookkeeping: ``pending`` shards keyed by their first
     trial index, a per-shard failure count, and the journal/progress
     side effects applied exactly once per completed shard.  Without a
-    ``pool`` every shard runs in-process.
+    ``pool`` every shard runs in-process, on the campaign's one warm
+    runner.
     """
 
     def __init__(self, shards: Sequence[ShardSpec],
@@ -525,6 +546,8 @@ class _ShardSupervisor:
         #: shard belongs to.
         self.worker_config = worker_config
         self.token = pool.next_token() if pool is not None else None
+        #: The campaign's runner for shards run in this process.
+        self.warm = _WarmRunner()
         #: ``(first trial index, wall seconds)`` per completed shard.
         self.shard_walls: List[Tuple[int, float]] = []
         self.interrupted = False
@@ -607,7 +630,7 @@ class _ShardSupervisor:
         executor = self.pool.executor()
         finished = False
         try:
-            futures = {executor.submit(_run_shard_warm, self.token,
+            futures = {executor.submit(_run_worker_shard, self.token,
                                        self.worker_config, spec.indices): key
                        for key, spec in runnable.items()}
             lost: List[int] = []
@@ -639,9 +662,21 @@ class _ShardSupervisor:
                 self.pool.discard()
 
     def _run_in_process(self) -> None:
-        """Run whatever is left in the parent process, in trial order."""
-        for key in sorted(self.pending):
-            self._complete(key, _run_shard(self.pending[key]))
+        """Run whatever is left in the parent process, in trial order,
+        with the cyclic collector paused as it is in pool workers."""
+        # The collector switch is process-wide: a daemon running several
+        # in-process campaigns on threads may see it re-enabled early by
+        # another campaign, but whoever found it on turns it back on.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for key in sorted(self.pending):
+                self._complete(key, _run_shard_warm(
+                    self.token, self.worker_config,
+                    self.pending[key].indices, self.warm))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
 
 def run_campaign_parallel(
@@ -673,16 +708,19 @@ def run_campaign_parallel(
         on_pool_change: Optional[Callable[[int], None]] = None,
         pool: Optional[CampaignPool] = None,
 ) -> CampaignResult:
-    """Run a campaign sharded over ``jobs`` worker processes.
+    """Run ``trials`` independent randomized tests and aggregate.
 
-    Bit-identical to :func:`run_campaign` for the same ``base_seed``:
-    aggregate counts and the per-trial ``run_times_s`` ordering do not
-    depend on ``jobs``, chunking, worker crashes, pool reuse, or
-    checkpoint/resume (individual timings naturally vary; wall-clock
-    ``trial_timeout_s`` budgets are inherently timing-dependent).  With
-    ``jobs <= 1`` — or fewer trials than workers, where pool startup
-    would dominate — the campaign runs in-process, so callers can thread
-    a jobs parameter through unconditionally.
+    The one campaign entry point, serial or sharded over ``jobs`` worker
+    processes.  Aggregate counts and the per-trial ``run_times_s``
+    ordering do not depend on ``jobs``, chunking, worker crashes, pool
+    reuse, or checkpoint/resume (individual timings naturally vary;
+    wall-clock ``trial_timeout_s`` budgets are inherently
+    timing-dependent).  With ``jobs <= 1`` — or fewer trials than
+    workers, where pool startup would dominate — the shards run
+    in-process, through the same supervisor, so callers can thread a
+    jobs parameter through unconditionally.  Nothing is pickled then, so
+    closure factories work too.  ``scheduler_name`` overrides the
+    scheduler's display name.
 
     ``pool`` — a :class:`CampaignPool` of ``jobs`` workers that serves
     this campaign and outlives it; sweeps pass one pool to every
@@ -738,7 +776,8 @@ def run_campaign_parallel(
         raise ValueError("trials must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
-    require_model_scheduler(model, scheduler_factory, base_seed)
+    names = resolve_campaign_names(program_factory, scheduler_factory,
+                                   base_seed, scheduler_name, model)
     pool_options = dict(
         start_method=start_method, hang_timeout_s=hang_timeout_s,
         memory_limit_mb=memory_limit_mb, watchdog_stats=watchdog_stats,
@@ -764,7 +803,7 @@ def run_campaign_parallel(
     with _sigterm_as_interrupt() as term_seen:
         return _run_campaign_parallel(
             program_factory, scheduler_factory, trials, base_seed,
-            max_steps, jobs, scheduler_name, count_operations, progress,
+            max_steps, jobs, names, count_operations, progress,
             chunks_per_job, trial_timeout_s, checkpoint, resume,
             max_retries, retry_backoff_s, sanitize, artifact_dir,
             spin_threshold, record_mode, model, pool, pool_options,
@@ -773,28 +812,15 @@ def run_campaign_parallel(
 
 def _run_campaign_parallel(
         program_factory, scheduler_factory, trials, base_seed, max_steps,
-        jobs, scheduler_name, count_operations, progress, chunks_per_job,
+        jobs, names, count_operations, progress, chunks_per_job,
         trial_timeout_s, checkpoint, resume, max_retries, retry_backoff_s,
         sanitize, artifact_dir, spin_threshold, record_mode, model, pool,
         pool_options, term_seen) -> CampaignResult:
     """Campaign body; runs with SIGTERM mapped onto KeyboardInterrupt."""
-    if (jobs <= 1 or trials < jobs) and checkpoint is None:
-        result = run_campaign(
-            program_factory, scheduler_factory, trials=trials,
-            base_seed=base_seed, max_steps=max_steps,
-            scheduler_name=scheduler_name,
-            count_operations=count_operations,
-            trial_timeout_s=trial_timeout_s,
-            sanitize=sanitize, artifact_dir=artifact_dir,
-            spin_threshold=spin_threshold, record_mode=record_mode,
-            model=model,
-        )
-        if progress is not None:
-            progress(CampaignProgress(trials, trials, result.elapsed_s))
-        return result
-
-    program_name, sched_name = resolve_campaign_names(
-        program_factory, scheduler_factory, base_seed, scheduler_name)
+    program_name, sched_name = names
+    in_process = jobs <= 1 or trials < jobs
+    if in_process:
+        jobs = 1
     result = CampaignResult(
         program=program_name,
         scheduler=sched_name,
@@ -816,14 +842,16 @@ def _run_campaign_parallel(
         done = {i: r for i, r in done.items() if i < trials}
     result.resumed_trials = len(done)
 
-    remaining = [i for i in range(trials) if i not in done]
+    # A range while nothing was resumed: shards then hold O(1) indices.
+    remaining = (range(trials) if not done
+                 else tuple(i for i in range(trials) if i not in done))
     worker_config = ShardSpec(
         program_factory, scheduler_factory, base_seed, (), max_steps,
         count_operations, trial_timeout_s, sanitize, artifact_dir,
         spin_threshold, record_mode, model)
     shards = [
-        replace(worker_config, indices=tuple(remaining[start:stop]))
-        for start, stop in shard_bounds(len(remaining), max(jobs, 1),
+        replace(worker_config, indices=remaining[start:stop])
+        for start, stop in shard_bounds(len(remaining), jobs,
                                         chunks_per_job)
         if stop > start
     ]
@@ -852,7 +880,7 @@ def _run_campaign_parallel(
     for record in done.values():
         accumulator.add(record)
 
-    if jobs <= 1 or not shards:
+    if in_process or not shards:
         pool_context = nullcontext(None)
     elif pool is None:
         pool_context = CampaignPool(min(jobs, len(shards)), **pool_options)

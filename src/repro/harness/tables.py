@@ -115,6 +115,10 @@ def table2(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
                         sanitize=sanitize,
                         pool=pool,
                     )
+                    if campaign.interrupted:
+                        # A sweep has no use for a cut-short cell: an
+                        # interrupt stops the whole sweep.
+                        raise KeyboardInterrupt
                     row.errors += campaign.errors
                     row.timeouts += campaign.timeouts
                     row.inconsistent += campaign.inconsistent
@@ -183,6 +187,8 @@ def table3(trials: int = 100, histories: Sequence[int] = (1, 2, 3, 4),
                     sanitize=sanitize,
                     pool=pool,
                 )
+                if campaign.interrupted:
+                    raise KeyboardInterrupt
                 row.rates[h] = campaign.hit_rate
                 row.errors += campaign.errors
                 row.timeouts += campaign.timeouts

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.harness.campaign import (CampaignAccumulator, CampaignResult,
+                                    TrialRunner)
 from repro.memory.events import MemoryOrder, RLX
 from repro.runtime.executor import RunResult, run_once
 from repro.runtime.program import Program
@@ -19,6 +21,21 @@ def hit_count(program_factory: Callable[[], Program],
                  max_steps=max_steps, keep_graph=False).bug_found
         for seed in range(trials)
     )
+
+
+def straight_loop(program_factory: Callable[[], Program],
+                  scheduler_factory: Callable[[int], Scheduler],
+                  trials: int, base_seed: int) -> CampaignResult:
+    """Independent serial campaign reference: trials ``0..trials-1`` in
+    order on one TrialRunner, folded by a CampaignAccumulator — no
+    supervisor, shards, journal or pool."""
+    runner = TrialRunner(program_factory, scheduler_factory, base_seed)
+    accumulator = CampaignAccumulator()
+    for index in range(trials):
+        accumulator.add(runner.run(index))
+    result = CampaignResult("reference", "reference", trials)
+    accumulator.finalize(result)
+    return result
 
 
 def single_thread_program(*ops_factory) -> Program:

@@ -19,7 +19,6 @@ from repro.harness.artifact import (
     load_artifact,
     replay_artifact,
 )
-from repro.harness.campaign import run_campaign
 from repro.harness.parallel import run_campaign_parallel
 from repro.memory.events import RLX
 from repro.memory.visibility import VisibilityTracker
@@ -79,8 +78,9 @@ class TestClassifyOutcome:
 
 class TestSerialArtifacts:
     def test_bug_artifact_roundtrip_and_replay(self, tmp_path):
-        result = run_campaign(MSQUEUE, PCTWM_SPEC, trials=10, base_seed=3,
-                              artifact_dir=str(tmp_path))
+        result = run_campaign_parallel(MSQUEUE, PCTWM_SPEC, trials=10,
+                                       base_seed=3,
+                                       artifact_dir=str(tmp_path))
         assert result.hits > 0
         assert len(result.artifacts) == result.hits
         artifact = load_artifact(result.artifacts[0])
@@ -100,8 +100,9 @@ class TestSerialArtifacts:
         assert report.result.bug_message == artifact.bug_message
 
     def test_replay_is_bit_identical(self, tmp_path):
-        result = run_campaign(MSQUEUE, PCTWM_SPEC, trials=5, base_seed=3,
-                              artifact_dir=str(tmp_path))
+        result = run_campaign_parallel(MSQUEUE, PCTWM_SPEC, trials=5,
+                                       base_seed=3,
+                                       artifact_dir=str(tmp_path))
         artifact = load_artifact(result.artifacts[0])
         first = replay_run(MSQUEUE(), artifact.trace)
         second = replay_run(MSQUEUE(), artifact.trace)
@@ -110,8 +111,9 @@ class TestSerialArtifacts:
 
     def test_minimized_artifact_is_shorter_and_still_replays(self,
                                                              tmp_path):
-        result = run_campaign(MSQUEUE, PCTWM_SPEC, trials=5, base_seed=3,
-                              artifact_dir=str(tmp_path))
+        result = run_campaign_parallel(MSQUEUE, PCTWM_SPEC, trials=5,
+                                       base_seed=3,
+                                       artifact_dir=str(tmp_path))
         artifact = load_artifact(result.artifacts[0])
         report = replay_artifact(artifact, minimize=True)
         assert report.matched
@@ -122,7 +124,7 @@ class TestSerialArtifacts:
         assert again.bug_message == artifact.bug_message
 
     def test_error_artifact_replays_same_error(self, tmp_path):
-        result = run_campaign(
+        result = run_campaign_parallel(
             _crashing_program, PCTWM_SPEC, trials=2,
             artifact_dir=str(tmp_path))
         assert result.errors == 2
@@ -142,9 +144,9 @@ class TestSerialArtifacts:
             return self._graph.writes_by_loc[loc][:1]
 
         monkeypatch.setattr(VisibilityTracker, "visible_writes", evil)
-        result = run_campaign(_store_store_load,
-                              SchedulerSpec("c11tester"), trials=2,
-                              sanitize="all", artifact_dir=str(tmp_path))
+        result = run_campaign_parallel(
+            _store_store_load, SchedulerSpec("c11tester"), trials=2,
+            sanitize="all", artifact_dir=str(tmp_path))
         assert result.inconsistent == 2
         artifact = load_artifact(result.artifacts[0])
         assert artifact.outcome == "inconsistent"
@@ -159,7 +161,7 @@ class TestSerialArtifacts:
     def test_clean_trials_write_no_artifacts(self, tmp_path):
         from repro.litmus import mp1
 
-        result = run_campaign(
+        result = run_campaign_parallel(
             mp1, SchedulerSpec("c11tester"), trials=5,
             artifact_dir=str(tmp_path))
         assert result.hits == 0

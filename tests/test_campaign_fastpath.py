@@ -31,8 +31,8 @@ from repro.harness.campaign import (
     CampaignResult,
     TrialRecord,
     TrialRunner,
-    run_campaign,
 )
+from repro.harness.parallel import run_campaign_parallel
 from repro.memory.events import RLX
 from repro.memory.visibility import VisibilityTracker
 from repro.runtime.program import Program
@@ -102,7 +102,7 @@ class TestRecordOnFailureIdentity:
         for mode in ("always", "on_failure"):
             directory = tmp_path / mode
             directory.mkdir()
-            results[mode] = run_campaign(
+            results[mode] = run_campaign_parallel(
                 program_factory, scheduler_factory, trials=trials,
                 base_seed=3, artifact_dir=str(directory),
                 record_mode=mode, **kwargs)
@@ -154,7 +154,7 @@ class TestRecordOnFailureIdentity:
         assert load_artifact(result.artifacts[0]).outcome == "inconsistent"
 
     def test_rerecorded_artifact_replays(self, tmp_path):
-        result = run_campaign(
+        result = run_campaign_parallel(
             MSQUEUE_SPEC, PCTWM_SPEC, trials=10, base_seed=3,
             artifact_dir=str(tmp_path), record_mode="on_failure")
         assert result.hits > 0
@@ -169,10 +169,10 @@ class TestRecordOnFailureIdentity:
         # aggregate: recording wraps the scheduler but consumes no
         # randomness, so first-run outcomes are mode-independent.
         kwargs = dict(trials=12, base_seed=3)
-        always = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC,
-                              record_mode="always", **kwargs)
-        on_failure = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC,
-                                  record_mode="on_failure", **kwargs)
+        always = run_campaign_parallel(MSQUEUE_SPEC, PCTWM_SPEC,
+                                       record_mode="always", **kwargs)
+        on_failure = run_campaign_parallel(
+            MSQUEUE_SPEC, PCTWM_SPEC, record_mode="on_failure", **kwargs)
         assert _campaign_aggregates(always) == \
             _campaign_aggregates(on_failure)
 
@@ -209,8 +209,8 @@ class TestWarmStateEquivalence:
     def test_warm_runner_matches_run_campaign(self):
         runner = TrialRunner(MSQUEUE_SPEC, PCTWM_SPEC, base_seed=3)
         records = [_strip_timing(runner.run(i)) for i in range(8)]
-        result = run_campaign(MSQUEUE_SPEC, PCTWM_SPEC, trials=8,
-                              base_seed=3)
+        result = run_campaign_parallel(MSQUEUE_SPEC, PCTWM_SPEC, trials=8,
+                                       base_seed=3)
         assert sum(1 for r in records if r["bug_found"]) == result.hits
         assert sum(r["steps"] for r in records) == result.total_steps
 

@@ -169,6 +169,38 @@ class TestSweepsAreJobsInvariant:
                 series.inconsistent) == (6, 12, 18)  # 6 campaigns
 
 
+class TestSweepsStopOnInterrupt:
+    """Ctrl-C (or SIGTERM) in a serial sweep stops the sweep: it neither
+    reports the cut-short campaign nor runs the campaigns after it."""
+
+    @pytest.mark.parametrize("sweep, kwargs", [
+        (figure5, dict(trials=8, benchmarks=["dekker"], pct_depths=(1,),
+                       histories=(1,), pctwm_depth_offsets=(0,))),
+        (figure6, dict(trials=8, insert_counts=(0,), benchmarks=["dekker"])),
+        (table2, dict(trials=8, histories=(1,), offsets=(0, 1),
+                      benchmarks=["dekker"])),
+        (table3, dict(trials=8, histories=(1, 2), benchmarks=["dekker"])),
+        (run_fuzz, dict(base_seed=3, count=2, trials=8, probe_trials=4)),
+    ], ids=["figure5", "figure6", "table2", "table3", "run_fuzz"])
+    def test_interrupt_stops_a_serial_sweep(self, monkeypatch, sweep,
+                                            kwargs):
+        from repro.harness.campaign import TrialRunner
+
+        real = TrialRunner.run
+        calls = []
+
+        def run(self, index):
+            calls.append(index)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(self, index)
+
+        monkeypatch.setattr(TrialRunner, "run", run)
+        with pytest.raises(KeyboardInterrupt):
+            sweep(jobs=1, **kwargs)
+        assert len(calls) == 3  # no trial ran after the interrupt
+
+
 class TestSharedPoolFaults:
     def test_killed_worker_mid_sweep_is_bit_identical(self, tmp_path,
                                                       monkeypatch):

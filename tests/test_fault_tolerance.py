@@ -16,8 +16,9 @@ import time
 import pytest
 
 from repro.core import C11TesterScheduler, NaiveRandomScheduler, SchedulerSpec
-from repro.harness import run_campaign, run_campaign_parallel, run_trial
-from repro.harness.campaign import ERROR_SAMPLE_LIMIT, summarize_exception
+from repro.harness import run_campaign_parallel
+from repro.harness.campaign import (ERROR_SAMPLE_LIMIT, TrialRunner,
+                                    summarize_exception)
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import _pool_context
 from repro.litmus import store_buffering
@@ -27,6 +28,7 @@ from repro.runtime.executor import run_once
 from repro.runtime.program import Program
 from repro.runtime.scheduler import Scheduler
 from repro.workloads import ProgramSpec
+from tests.helpers import straight_loop
 
 
 # -- module-level (picklable) fault fixtures ----------------------------------
@@ -146,6 +148,11 @@ class KillOnceFactory:
         return store_buffering()
 
 
+def counts(result):
+    return (result.completed, result.hits, result.inconclusive,
+            result.total_steps, result.total_events)
+
+
 class InterruptAfterShards:
     """Progress hook that simulates an operator SIGINT after N shards."""
 
@@ -164,7 +171,7 @@ class InterruptAfterShards:
 
 class TestTrialContainment:
     def test_crashing_workload_is_recorded_not_raised(self):
-        record = run_trial(crashing_program, naive_factory, 0, 0)
+        record = TrialRunner(crashing_program, naive_factory, 0).run(0)
         assert record.error is not None
         assert "RuntimeError" in record.error
         assert "workload exploded" in record.error
@@ -180,8 +187,8 @@ class TestTrialContainment:
         assert "test_fault_tolerance.py" in summary
 
     def test_campaign_over_crashing_workload_completes(self):
-        result = run_campaign(crashing_program, naive_factory, trials=12,
-                              scheduler_name="naive")
+        result = run_campaign_parallel(crashing_program, naive_factory,
+                                       trials=12, scheduler_name="naive")
         assert result.completed == 12
         assert result.errors == 12
         assert result.hits == 0
@@ -190,9 +197,9 @@ class TestTrialContainment:
 
     def test_mixed_outcomes_all_non_crashing_trials_complete(self):
         """The acceptance shape: hits, misses and errors coexist."""
-        result = run_campaign(sometimes_crashing_program, c11_factory,
-                              trials=60, base_seed=3,
-                              scheduler_name="c11tester")
+        result = run_campaign_parallel(
+            sometimes_crashing_program, c11_factory, trials=60, base_seed=3,
+            scheduler_name="c11tester")
         assert result.completed == 60
         assert result.errors > 0
         assert result.hits > 0
@@ -200,9 +207,9 @@ class TestTrialContainment:
 
     def test_parallel_containment_matches_serial(self):
         """Errors are contained inside workers and merge bit-identically."""
-        serial = run_campaign(sometimes_crashing_program, c11_factory,
-                              trials=40, base_seed=3,
-                              scheduler_name="c11tester")
+        serial = run_campaign_parallel(
+            sometimes_crashing_program, c11_factory, trials=40, base_seed=3,
+            jobs=1, scheduler_name="c11tester")
         parallel = run_campaign_parallel(
             sometimes_crashing_program, c11_factory, trials=40, base_seed=3,
             jobs=2, scheduler_name="c11tester")
@@ -213,8 +220,9 @@ class TestTrialContainment:
                 serial.total_events)
 
     def test_bad_scheduler_is_contained(self):
-        result = run_campaign(store_buffering, disabled_scheduler_factory,
-                              trials=5, scheduler_name="disabled-chooser")
+        result = run_campaign_parallel(
+            store_buffering, disabled_scheduler_factory, trials=5,
+            scheduler_name="disabled-chooser")
         assert result.errors == 5
         assert "ReproError" in result.error_samples[0]
         assert "disabled" in result.error_samples[0]
@@ -224,24 +232,26 @@ class TestTrialContainment:
             run_once(store_buffering(), DisabledChoosingScheduler())
 
     def test_containment_is_deterministic(self):
-        a = run_campaign(sometimes_crashing_program, c11_factory,
-                         trials=40, base_seed=7, scheduler_name="c11tester")
-        b = run_campaign(sometimes_crashing_program, c11_factory,
-                         trials=40, base_seed=7, scheduler_name="c11tester")
+        a = run_campaign_parallel(sometimes_crashing_program, c11_factory,
+                                  trials=40, base_seed=7,
+                                  scheduler_name="c11tester")
+        b = run_campaign_parallel(sometimes_crashing_program, c11_factory,
+                                  trials=40, base_seed=7,
+                                  scheduler_name="c11tester")
         assert (a.hits, a.errors, a.total_steps) \
             == (b.hits, b.errors, b.total_steps)
 
     def test_error_samples_are_bounded(self):
-        result = run_campaign(crashing_program, naive_factory,
-                              trials=ERROR_SAMPLE_LIMIT + 5,
-                              scheduler_name="naive")
+        result = run_campaign_parallel(crashing_program, naive_factory,
+                                       trials=ERROR_SAMPLE_LIMIT + 5,
+                                       scheduler_name="naive")
         assert result.errors == ERROR_SAMPLE_LIMIT + 5
         assert len(result.error_samples) == ERROR_SAMPLE_LIMIT
 
     def test_timing_covers_scheduler_and_program_build(self):
         """Satellite: build costs on both sides count toward elapsed_s."""
-        record = run_trial(store_buffering, SlowSchedulerFactory(0.05),
-                           0, 0)
+        record = TrialRunner(store_buffering, SlowSchedulerFactory(0.05),
+                             0).run(0)
         assert record.error is None
         assert record.elapsed_s >= 0.04
 
@@ -265,8 +275,9 @@ class TestTrialTimeout:
         assert run.steps > 0
 
     def test_campaign_counts_timeouts(self):
-        result = run_campaign(long_running_program, naive_factory, trials=4,
-                              scheduler_name="naive", trial_timeout_s=0.0)
+        result = run_campaign_parallel(long_running_program, naive_factory,
+                                       trials=4, scheduler_name="naive",
+                                       trial_timeout_s=0.0)
         assert result.timeouts == 4
         assert result.errors == 0
         assert result.completed == 4
@@ -292,7 +303,8 @@ class TestWorkerRecovery:
         parallel = run_campaign_parallel(
             factory, sched, trials=24, base_seed=9, jobs=2,
             max_retries=3, retry_backoff_s=0.01)
-        serial = run_campaign(store_buffering, sched, trials=24, base_seed=9)
+        serial = run_campaign_parallel(store_buffering, sched, trials=24,
+                                       base_seed=9, jobs=1)
         assert os.path.exists(str(tmp_path / "killed-once"))  # it fired
         assert parallel.completed == 24
         assert not parallel.interrupted
@@ -341,7 +353,8 @@ class TestCheckpointResume:
         resumed = run_campaign_parallel(
             program, sched, trials=48, base_seed=11, jobs=2,
             checkpoint=path, resume=True)
-        serial = run_campaign(program, sched, trials=48, base_seed=11)
+        serial = run_campaign_parallel(program, sched, trials=48,
+                                       base_seed=11, jobs=1)
         assert not resumed.interrupted
         assert resumed.resumed_trials == partial.completed
         assert resumed.completed == 48
@@ -349,6 +362,22 @@ class TestCheckpointResume:
                 resumed.total_events) \
             == (serial.hits, serial.inconclusive, serial.total_steps,
                 serial.total_events)
+        assert counts(serial) == counts(resumed) \
+            == counts(straight_loop(program, sched, 48, 11))
+
+    def test_serial_interrupt_keeps_partial_aggregates(self):
+        """jobs=1 without a checkpoint: an interrupt after two of the
+        four in-process shards returns exactly what they folded."""
+        program = ProgramSpec("SB", kind="litmus")
+        sched = SchedulerSpec("pctwm", {"depth": 2, "k_com": 4})
+        partial = run_campaign_parallel(
+            program, sched, trials=48, base_seed=11, jobs=1,
+            progress=InterruptAfterShards(2))
+        assert partial.interrupted
+        assert 0 < partial.completed < 48
+        assert len(partial.shard_times_s) == 2
+        assert counts(partial) \
+            == counts(straight_loop(program, sched, partial.completed, 11))
 
     def test_journal_matches_folded_partial_aggregates(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")

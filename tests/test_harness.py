@@ -17,7 +17,7 @@ from repro.harness import (
     render_table2,
     render_table3,
     render_table4,
-    run_campaign,
+    run_campaign_parallel,
     stdev,
     table1,
     table2,
@@ -68,32 +68,32 @@ class TestStats:
 
 class TestCampaign:
     def test_aggregates_hits(self):
-        result = run_campaign(store_buffering, pctwm_factory(0, 4, 1),
-                              trials=20)
+        result = run_campaign_parallel(store_buffering,
+                                       pctwm_factory(0, 4, 1), trials=20)
         assert result.trials == 20
         assert result.hits == 20
         assert result.hit_rate == 100.0
 
     def test_records_timing(self):
-        result = run_campaign(store_buffering, c11tester_factory(),
-                              trials=10)
+        result = run_campaign_parallel(store_buffering, c11tester_factory(),
+                                       trials=10)
         assert result.elapsed_s > 0
         assert len(result.run_times_s) == 10
         assert result.avg_time_ms > 0
 
     def test_seeds_make_it_deterministic(self):
-        a = run_campaign(store_buffering, c11tester_factory(), trials=30,
-                         base_seed=5)
-        b = run_campaign(store_buffering, c11tester_factory(), trials=30,
-                         base_seed=5)
+        a = run_campaign_parallel(store_buffering, c11tester_factory(),
+                                  trials=30, base_seed=5)
+        b = run_campaign_parallel(store_buffering, c11tester_factory(),
+                                  trials=30, base_seed=5)
         assert a.hits == b.hits
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            run_campaign(store_buffering, naive_factory(), trials=0)
+            run_campaign_parallel(store_buffering, naive_factory(), trials=0)
 
     def test_operation_counting(self):
-        result = run_campaign(
+        result = run_campaign_parallel(
             store_buffering, naive_factory(), trials=5,
             count_operations=lambda run: run.k,
         )
@@ -194,12 +194,12 @@ class TestSignificance:
         from repro.harness import (
             c11tester_factory,
             pctwm_factory,
-            run_campaign,
+            run_campaign_parallel,
             significantly_greater,
         )
         from repro.workloads import BENCHMARKS
         build = BENCHMARKS["dekker"].build
-        wm = run_campaign(build, pctwm_factory(0, 5, 1), trials=80)
-        c11 = run_campaign(build, c11tester_factory(), trials=80)
+        wm = run_campaign_parallel(build, pctwm_factory(0, 5, 1), trials=80)
+        c11 = run_campaign_parallel(build, c11tester_factory(), trials=80)
         assert significantly_greater(wm.hits, wm.trials,
                                      c11.hits, c11.trials)

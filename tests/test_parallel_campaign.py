@@ -1,9 +1,10 @@
 """Tests for the parallel campaign engine and sharded seed derivation.
 
 The contract under test: for a fixed base seed, ``run_campaign_parallel``
-reports aggregate counts bit-identical to the serial ``run_campaign``,
-for any worker count and chunking — because trial ``i`` always runs with
-``derive_trial_seed(base_seed, i)`` and shards merge in trial order.
+reports aggregate counts bit-identical for any worker count and chunking,
+and identical to a straight in-order loop over one ``TrialRunner`` —
+because trial ``i`` always runs with ``derive_trial_seed(base_seed, i)``
+and shards merge in trial order.
 """
 
 import pickle
@@ -14,12 +15,13 @@ from repro.core import SCHEDULER_REGISTRY, SchedulerSpec, make_scheduler
 from repro.harness import (
     CampaignProgress,
     derive_trial_seed,
-    run_campaign,
     run_campaign_parallel,
 )
 from repro.harness.cli import main as cli_main
-from repro.harness.parallel import shard_bounds
+from repro.harness import parallel
+from repro.harness.parallel import MAX_SHARD_TRIALS, shard_bounds
 from repro.workloads import ProgramSpec
+from tests.helpers import straight_loop
 
 
 class TestSeedDerivation:
@@ -98,6 +100,32 @@ class TestShardBounds:
     def test_serial_single_shard(self):
         assert shard_bounds(50, 1, chunks_per_job=1) == [(0, 50)]
 
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_no_shard_exceeds_the_cap(self, jobs):
+        trials = 10 * MAX_SHARD_TRIALS + 3
+        bounds = shard_bounds(trials, jobs)
+        assert bounds[-1][1] == trials
+        assert max(stop - start for start, stop in bounds) \
+            <= MAX_SHARD_TRIALS
+
+    def test_serial_campaign_holds_at_most_one_capped_shard(
+            self, monkeypatch):
+        """A long serial campaign folds in capped shards, so the records
+        held at once stay bounded however many trials it runs."""
+        monkeypatch.setattr(parallel, "MAX_SHARD_TRIALS", 5)
+        program = ProgramSpec("SB", kind="litmus")
+        sched = SchedulerSpec("pctwm", {"depth": 2, "k_com": 4})
+        snapshots = []
+        result = run_campaign_parallel(program, sched, trials=40,
+                                       base_seed=5, jobs=1,
+                                       progress=snapshots.append)
+        assert [s.completed_trials for s in snapshots] \
+            == list(range(5, 41, 5))
+        reference = straight_loop(program, sched, trials=40, base_seed=5)
+        assert (result.hits, result.total_steps, result.total_events) \
+            == (reference.hits, reference.total_steps,
+                reference.total_events)
+
 
 # The acceptance contract: two litmus programs x two schedulers, the
 # parallel path with 4 workers bit-identical to serial.
@@ -114,9 +142,15 @@ class TestParallelSerialEquivalence:
                              ids=lambda c: getattr(c, "name", c))
     def test_bit_identical_aggregates(self, litmus, sched):
         program = ProgramSpec(litmus, kind="litmus")
-        serial = run_campaign(program, sched, trials=60, base_seed=11)
+        serial = run_campaign_parallel(program, sched, trials=60,
+                                       base_seed=11, jobs=1)
         parallel = run_campaign_parallel(program, sched, trials=60,
                                          base_seed=11, jobs=4)
+        reference = straight_loop(program, sched, trials=60, base_seed=11)
+        assert (serial.hits, serial.inconclusive, serial.total_steps,
+                serial.total_events) \
+            == (reference.hits, reference.inconclusive,
+                reference.total_steps, reference.total_events)
         assert parallel.hits == serial.hits
         assert parallel.inconclusive == serial.inconclusive
         assert parallel.total_steps == serial.total_steps
@@ -143,17 +177,21 @@ class TestParallelSerialEquivalence:
         result = run_campaign_parallel(program, sched, trials=10,
                                        base_seed=0, jobs=1)
         assert result.jobs == 1
-        assert result.shard_times_s == []
+        # In-process shards report their walls like pooled ones do.
+        assert len(result.shard_times_s) == len(shard_bounds(10, 1))
 
 
 class TestProgressHook:
-    def test_progress_reports_monotonic_completion(self):
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_progress_reports_monotonic_completion(self, jobs):
         snapshots = []
         program = ProgramSpec("SB", kind="litmus")
         sched = SchedulerSpec("naive")
         run_campaign_parallel(program, sched, trials=24, base_seed=0,
-                              jobs=2, progress=snapshots.append)
+                              jobs=jobs, progress=snapshots.append)
         assert snapshots
+        # One snapshot per shard, serial campaigns included.
+        assert len(snapshots) == len(shard_bounds(24, jobs))
         completed = [s.completed_trials for s in snapshots]
         assert completed == sorted(completed)
         assert completed[-1] == 24
@@ -168,7 +206,7 @@ class TestProgressHook:
         run_campaign_parallel(ProgramSpec("SB", kind="litmus"),
                               SchedulerSpec("naive"), trials=5,
                               jobs=1, progress=snapshots.append)
-        assert [s.completed_trials for s in snapshots] == [5]
+        assert [s.completed_trials for s in snapshots] == [2, 3, 4, 5]
 
     def test_eta_infinite_before_any_elapsed_time(self):
         p = CampaignProgress(0, 10, 0.0)

@@ -11,9 +11,9 @@ import pytest
 from repro.core import C11TesterScheduler, NaiveRandomScheduler
 from repro.harness.campaign import (
     SANITIZE_SAMPLE_STRIDE,
-    run_campaign,
     sanitize_this_trial,
 )
+from repro.harness.parallel import run_campaign_parallel
 from repro.litmus import mp2, store_buffering
 from repro.memory.events import RLX
 from repro.memory.visibility import VisibilityTracker
@@ -59,8 +59,8 @@ class TestSampling:
 
     def test_campaign_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="sanitize"):
-            run_campaign(mp2, lambda s: C11TesterScheduler(seed=s),
-                         trials=1, sanitize="bogus")
+            run_campaign_parallel(mp2, lambda s: C11TesterScheduler(seed=s),
+                                  trials=1, sanitize="bogus")
 
 
 class TestCleanEngine:
@@ -82,7 +82,7 @@ class TestCleanEngine:
     def test_sanitize_does_not_change_verdicts(self):
         """The sanitizer observes; it must not perturb scheduling."""
         def campaign(mode):
-            return run_campaign(
+            return run_campaign_parallel(
                 BENCHMARKS["msqueue"].build,
                 lambda s: NaiveRandomScheduler(seed=s),
                 trials=25, base_seed=11, sanitize=mode)
@@ -115,7 +115,7 @@ class TestBrokenEngine:
 
     def test_campaign_contains_inconsistency(self, monkeypatch):
         _break_visibility(monkeypatch)
-        result = run_campaign(
+        result = run_campaign_parallel(
             _store_store_load, lambda s: C11TesterScheduler(seed=s),
             trials=12, sanitize="all")
         assert result.inconsistent == 12
@@ -128,14 +128,14 @@ class TestBrokenEngine:
     def test_sampled_campaign_audits_every_nth_trial(self, monkeypatch):
         _break_visibility(monkeypatch)
         trials = SANITIZE_SAMPLE_STRIDE + 2
-        result = run_campaign(
+        result = run_campaign_parallel(
             _store_store_load, lambda s: C11TesterScheduler(seed=s),
             trials=trials, sanitize="sampled")
         assert result.inconsistent == 2  # indices 0 and STRIDE only
 
     def test_off_campaign_sees_nothing(self, monkeypatch):
         _break_visibility(monkeypatch)
-        result = run_campaign(
+        result = run_campaign_parallel(
             _store_store_load, lambda s: C11TesterScheduler(seed=s),
             trials=5, sanitize="off")
         assert result.inconsistent == 0

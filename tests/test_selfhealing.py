@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.core import SchedulerSpec
-from repro.harness import run_campaign, run_campaign_parallel
+from repro.harness import run_campaign_parallel
 from repro.harness.campaign import CampaignAccumulator
 from repro.harness.cli import main as cli_main
 from repro.harness.parallel import (
@@ -230,7 +230,8 @@ class TestPreemption:
             sb_program(), sched, trials=30, base_seed=5, jobs=2,
             max_retries=3, retry_backoff_s=0.01,
             hang_timeout_s=0.5, watchdog_poll_s=0.05)
-        serial = run_campaign(sb_program(), sched, trials=30, base_seed=5)
+        serial = run_campaign_parallel(sb_program(), sched, trials=30,
+                                       base_seed=5, jobs=1)
         assert os.path.exists(sentinel)
         assert faulted.hang_preemptions >= 1
         assert faulted.completed == 30
@@ -245,7 +246,8 @@ class TestPreemption:
         faulted = run_campaign_parallel(
             sb_program(), sched, trials=24, base_seed=9, jobs=2,
             max_retries=3, retry_backoff_s=0.01)
-        serial = run_campaign(sb_program(), sched, trials=24, base_seed=9)
+        serial = run_campaign_parallel(sb_program(), sched, trials=24,
+                                       base_seed=9, jobs=1)
         assert os.path.exists(sentinel)
         assert faulted.hang_preemptions == 0  # no watchdog configured
         assert agg_key(faulted) == agg_key(serial)
@@ -264,7 +266,8 @@ class TestPreemption:
             sb_program(), sched, trials=30, base_seed=4, jobs=2,
             max_retries=3, retry_backoff_s=0.01,
             memory_limit_mb=128.0, watchdog_poll_s=0.05)
-        serial = run_campaign(sb_program(), sched, trials=30, base_seed=4)
+        serial = run_campaign_parallel(sb_program(), sched, trials=30,
+                                       base_seed=4, jobs=1)
         assert faulted.rss_recycles >= 1
         assert agg_key(faulted) == agg_key(serial)
 
@@ -305,7 +308,8 @@ class TestSigterm:
         resumed = run_campaign_parallel(
             sb_program(), sched, trials=48, base_seed=11, jobs=2,
             checkpoint=path, resume=True)
-        serial = run_campaign(sb_program(), sched, trials=48, base_seed=11)
+        serial = run_campaign_parallel(sb_program(), sched, trials=48,
+                                       base_seed=11, jobs=1)
         assert not resumed.interrupted
         assert resumed.resumed_trials == partial.completed
         assert agg_key(resumed) == agg_key(serial)

@@ -334,12 +334,11 @@ class TestModelRegistry:
         assert resolve_model("c11").supports_scheduler("c11tester")
 
     def test_unsupported_scheduler_refused_everywhere(self):
-        """Both campaign entry points, ``repro fuzz`` and daemon job
+        """Serial and pooled campaigns, ``repro fuzz`` and daemon job
         validation refuse c11tester under TSO with one message, before
         any trial runs."""
         from repro.core.factory import SchedulerSpec
         from repro.fuzz import run_fuzz
-        from repro.harness.campaign import run_campaign
         from repro.harness.parallel import run_campaign_parallel
         from repro.service.jobs import JobSpec
         from repro.workloads import BENCHMARKS
@@ -352,7 +351,8 @@ class TestModelRegistry:
 
         spec = SchedulerSpec("c11tester", {})
         attempts = (
-            lambda: run_campaign(program, spec, trials=20, model="tso"),
+            lambda: run_campaign_parallel(program, spec, trials=20, jobs=1,
+                                          model="tso"),
             lambda: run_campaign_parallel(program, spec, trials=20, jobs=2,
                                           model="tso"),
             lambda: run_fuzz(count=1, model="tso", scheduler="c11tester"),
@@ -372,10 +372,10 @@ class TestHarnessEndToEnd:
     def test_campaign_artifacts_and_replay_under_tso(self, tmp_path):
         from repro.core.factory import SchedulerSpec
         from repro.harness.artifact import load_artifact, replay_artifact
-        from repro.harness.campaign import run_campaign
+        from repro.harness.parallel import run_campaign_parallel
         from repro.workloads.registry import ProgramSpec
 
-        result = run_campaign(
+        result = run_campaign_parallel(
             ProgramSpec("dekker"),
             SchedulerSpec("pctwm", {"depth": 2, "k_com": 12, "history": 2}),
             trials=40, base_seed=3, max_steps=5000,
@@ -392,15 +392,14 @@ class TestHarnessEndToEnd:
 
     def test_parallel_campaign_matches_serial_under_tso(self):
         from repro.core.factory import SchedulerSpec
-        from repro.harness.campaign import run_campaign
         from repro.harness.parallel import run_campaign_parallel
         from repro.workloads.registry import ProgramSpec
 
         prog = ProgramSpec("dekker")
         sched = SchedulerSpec("pctwm",
                               {"depth": 2, "k_com": 12, "history": 2})
-        serial = run_campaign(prog, sched, trials=24, base_seed=3,
-                              max_steps=5000, model="tso")
+        serial = run_campaign_parallel(prog, sched, trials=24, base_seed=3,
+                                       max_steps=5000, jobs=1, model="tso")
         parallel = run_campaign_parallel(prog, sched, trials=24, base_seed=3,
                                          max_steps=5000, jobs=2, model="tso")
         assert parallel.hits == serial.hits
